@@ -29,7 +29,6 @@ from .levy_exponents import (
     phi,
     phi_inverse,
     regime,
-    small_lambda_integrability,
 )
 from .samplers import Kind, UnsupportedConfigurationError
 
@@ -203,10 +202,6 @@ def _predict(exp, dom, kind, quantity: str) -> AsymptoticPrediction:
         w = _critical_leading_weight(exp)
         const = half * 2.0 * surface / math.pi * w
         return AsymptoticPrediction(RateFunction("t-log"), const, "critical-limit" + suffix)
-    if not small_lambda_integrability(exp):
-        raise UnsupportedConfigurationError(
-            "low-index linear rate needs an integrable Levy-measure deficit"
-        )
     if not isinstance(dom, Interval):
         raise UnsupportedConfigurationError(
             "low-index constant is a quadrature against the exact interval oracle; "

@@ -26,7 +26,6 @@ from .asymptotics import (
     expansion,
     fit_rate,
     inverse_moment,
-    lowindex_constant,
     predict_regular,
     predict_spectral,
     stable_moment,
@@ -43,7 +42,6 @@ from .heat_oracles import (
     Interval,
     exact_Q_interval,
     interval_survival_block,
-    mc_Q_disk,
     parse_domain,
 )
 from .levy_exponents import MixedStable, Stable, TemperedStable, parse_exponent
@@ -53,6 +51,7 @@ from .samplers import (
     RunawaySamplerError,
     TimeChangeSpec,
     UnsupportedConfigurationError,
+    run_blocks,
 )
 from . import samplers
 
@@ -199,6 +198,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _estimate_spectral(exp, dom, t, n, stream, kind, workers):
+    if isinstance(dom, Disk):
+        return estimate_spectral_disk(exp, dom, t, n, stream, kind, workers=workers)
+    if kind is Kind.SUBORDINATOR:
+        return estimate_spectral_subordinate(exp, dom, t, n, stream, workers=workers)
+    return estimate_spectral_inverse(exp, dom, t, n, stream, workers=workers)
+
+
 def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000, n_max=1_600_000, workers=1):
     """Double n until the stderr is at most rel_target of the estimated deficit.
 
@@ -207,10 +214,7 @@ def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000
     """
     n = n0
     while True:
-        if kind is Kind.SUBORDINATOR:
-            est = estimate_spectral_subordinate(exp, dom, t, n, stream, workers=workers)
-        else:
-            est = estimate_spectral_inverse(exp, dom, t, n, stream, workers=workers)
+        est = _estimate_spectral(exp, dom, t, n, stream, kind, workers)
         deficit = dom.volume - est.value
         if est.stderr <= rel_target * deficit or n >= n_max:
             return est
@@ -252,12 +256,7 @@ def cmd_estimate(cfg: RunConfig) -> str:
     pred_spec = predict_spectral(exp, dom, kind)
     pred_reg = predict_regular(exp, dom, kind) if isinstance(dom, Interval) else None
     for t in cfg.ladder():
-        if isinstance(dom, Disk):
-            est = estimate_spectral_disk(exp, dom, t, cfg.paths, base, kind, workers=cfg.workers)
-        elif kind is Kind.SUBORDINATOR:
-            est = estimate_spectral_subordinate(exp, dom, t, cfg.paths, base, workers=cfg.workers)
-        else:
-            est = estimate_spectral_inverse(exp, dom, t, cfg.paths, base, workers=cfg.workers)
+        est = _estimate_spectral(exp, dom, t, cfg.paths, base, kind, cfg.workers)
         rate = float(pred_spec.rate_value(t))
         rows.append(
             ("spectral", t, est.value, est.stderr, rate, (dom.volume - est.value) / rate, est.n_paths)
@@ -304,11 +303,20 @@ def _suite_stream(cfg: RunConfig, index: int) -> RandomStream:
     return RandomStream(cfg.seed, (index + 1) * 2**48)
 
 
+def _check(name, target, achieved, tol):
+    return CheckResult(name, target, achieved, tol, abs(achieved - target) <= tol)
+
+
 def _ratio_check(name, est, dom, rate, target, rel_tol, extra_tol_se=4.0):
     deficit = dom.volume - est.value
     achieved = deficit / rate
     tol = max(extra_tol_se * est.stderr / rate, rel_tol * abs(target))
-    return CheckResult(name, target, achieved, tol, abs(achieved - target) <= tol)
+    return _check(name, target, achieved, tol)
+
+
+def _sample_mean_check(name, x, target):
+    se = float(x.std(ddof=1)) / math.sqrt(x.size)
+    return _check(name, target, float(x.mean()), 4.0 * se)
 
 
 def _suite_highindex(cfg: RunConfig, quick: bool) -> list[CheckResult]:
@@ -393,12 +401,7 @@ def _suite_inverse(cfg: RunConfig, quick: bool) -> list[CheckResult]:
         rate_r = float(pred_r.rate_value(t))
         achieved = est_r.value / rate_r
         tol = max(4.0 * est_r.stderr / rate_r, rel * pred_r.constant)
-        out.append(
-            CheckResult(
-                f"inverse-regular-b{beta:g}", pred_r.constant, achieved, tol,
-                abs(achieved - pred_r.constant) <= tol,
-            )
-        )
+        out.append(_check(f"inverse-regular-b{beta:g}", pred_r.constant, achieved, tol))
     return out
 
 
@@ -412,14 +415,7 @@ def _suite_inverse_universality(cfg: RunConfig, quick: bool) -> list[CheckResult
     )
     rel = cfg.tolerance if cfg.tolerance is not None else 0.05
     rate = float(pred.rate_value(t))
-    achieved = (_UNIT.volume - est.value) / rate
-    tol = rel * pred.constant
-    return [
-        CheckResult(
-            "universality-ratio", pred.constant, achieved, tol,
-            abs(achieved - pred.constant) <= tol,
-        )
-    ]
+    return [_ratio_check("universality-ratio", est, _UNIT, rate, pred.constant, rel, extra_tol_se=0.0)]
 
 
 def _suite_expansion(cfg: RunConfig, quick: bool) -> list[CheckResult]:
@@ -429,7 +425,7 @@ def _suite_expansion(cfg: RunConfig, quick: bool) -> list[CheckResult]:
         got = expansion(beta, [4.0 / math.sqrt(math.pi)])[0][0]
         want = 2.0 / gamma_fn(1.0 + beta / 2.0)
         worst = max(worst, abs(got - want) / want)
-    out.append(CheckResult("expansion-identity", 0.0, worst, 1e-12, worst <= 1e-12))
+    out.append(_check("expansion-identity", 0.0, worst, 1e-12))
     return out
 
 
@@ -439,25 +435,13 @@ def _suite_moments(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     stream = _suite_stream(cfg, 8)
     for i, (beta, gam) in enumerate(((0.75, 0.25), (0.5, 0.2), (0.25, 0.1))):
         d = samplers.sample_stable(beta, 1.0, stream.spawn(i * 2**20), n)
-        x = d**gam
-        mean = float(x.mean())
-        se = float(x.std(ddof=1)) / math.sqrt(n)
         target = stable_moment(beta, gam)
-        tol = 4.0 * se
-        out.append(
-            CheckResult(f"stable-moment-b{beta:g}-g{gam:g}", target, mean, tol, abs(mean - target) <= tol)
-        )
+        out.append(_sample_mean_check(f"stable-moment-b{beta:g}-g{gam:g}", d**gam, target))
     for i, (beta, p) in enumerate(((0.25, 0.5), (0.5, 0.5), (0.75, 1.0))):
         spec = TimeChangeSpec(Stable(beta), Kind.INVERSE)
         e = samplers.sample_inverse(spec, 1.0, stream.spawn(2**30 + i * 2**20), n)
-        x = e**p
-        mean = float(x.mean())
-        se = float(x.std(ddof=1)) / math.sqrt(n)
         target = inverse_moment(beta, p)
-        tol = 4.0 * se
-        out.append(
-            CheckResult(f"inverse-moment-b{beta:g}-p{p:g}", target, mean, tol, abs(mean - target) <= tol)
-        )
+        out.append(_sample_mean_check(f"inverse-moment-b{beta:g}-p{p:g}", e**p, target))
     report = check_inverse_moments(
         Stable(0.5), 0.5, (1e-1, 1e-3, 1e-6), n // 2, stream.spawn(2**31)
     )
@@ -498,34 +482,31 @@ def _suite_small_ball(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     return out
 
 
+def _bridge_walk_kernel(u, stream, lo, size, n):
+    return interval_survival_block(
+        1.0, u, stream, strat_index=lo, strat_total=n, n=size, n_steps=128
+    )
+
+
 def _suite_oracle(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     out = []
     u_star = _UNIT.length ** 2 / 10.0
     q_lo = exact_Q_interval(_UNIT, u_star * (1.0 - 1e-13))
     q_hi = exact_Q_interval(_UNIT, u_star * (1.0 + 1e-13))
     diff = abs(q_lo - q_hi)
-    out.append(CheckResult("series-switch-continuity", 0.0, diff, 1e-12, diff <= 1e-12))
+    out.append(_check("series-switch-continuity", 0.0, diff, 1e-12))
     u = 1e-10
     deficit = _UNIT.volume - exact_Q_interval(_UNIT, u)
     want = 4.0 / math.sqrt(math.pi)
     rel = abs(deficit / math.sqrt(u) - want) / want
-    out.append(CheckResult("short-time-constant", 0.0, rel, 1e-4, rel <= 1e-4))
+    out.append(_check("short-time-constant", 0.0, rel, 1e-4))
     # the same bridge-corrected walk the disk uses, run where an exact answer exists
     n = 100_000 if quick else 400_000
     u_w = 0.02
-    stream = _suite_stream(cfg, 11)
-    parts = []
-    for lo in range(0, n, 32768):
-        size = min(32768, n - lo)
-        parts.append(
-            interval_survival_block(
-                1.0, u_w, stream.spawn(lo), strat_index=lo, strat_total=n, n=size, n_steps=128
-            )
-        )
-    walk = float(np.concatenate(parts).mean())
+    walk, _ = run_blocks(_bridge_walk_kernel, u_w, n, _suite_stream(cfg, 11))
     exact = exact_Q_interval(_UNIT, u_w)
     rel_walk = abs(walk - exact) / exact
-    out.append(CheckResult("bridge-walk-vs-oracle", 0.0, rel_walk, 0.005, rel_walk <= 0.005))
+    out.append(_check("bridge-walk-vs-oracle", 0.0, rel_walk, 0.005))
     return out
 
 
@@ -561,19 +542,20 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, cfg: RunConfig) -> list[CheckResult]:
-    """Run one named verification suite and return its check results."""
+def _canonical_suite(name: str) -> str:
     canon = _SUITE_ALIASES.get(name, name)
     if canon not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(_SUITES)}")
-    return _SUITES[canon](cfg, cfg.quick)
+    return canon
+
+
+def run_suite(name: str, cfg: RunConfig) -> list[CheckResult]:
+    """Run one named verification suite and return its check results."""
+    return _SUITES[_canonical_suite(name)](cfg, cfg.quick)
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
-    names = list(_SUITES) if cfg.suite in (None, "all") else [_SUITE_ALIASES.get(cfg.suite, cfg.suite)]
-    for name in names:
-        if name not in _SUITES:
-            raise ValueError(f"unknown suite {cfg.suite!r}; known: {', '.join(_SUITES)}")
+    names = list(_SUITES) if cfg.suite in (None, "all") else [_canonical_suite(cfg.suite)]
     suites_out = []
     all_pass = True
     for name in names:

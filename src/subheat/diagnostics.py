@@ -15,9 +15,9 @@ import numpy as np
 from scipy import integrate
 
 from . import samplers
-from .estimators import BLOCK, _is_stable_draws, combine_blocks
+from .estimators import _is_stable_draws
 from .levy_exponents import Stable, leading_index, levy_density, phi
-from .samplers import Kind, RandomStream, TimeChangeSpec
+from .samplers import BLOCK, Kind, RandomStream, TimeChangeSpec, run_blocks
 
 _LEVY_IS_CAP = 60.0  # clock coverage for importance sampling; e^-x test factors are dead beyond this
 _LEVY_IS_LREF = 2.0 * math.sqrt(_LEVY_IS_CAP / math.pi)
@@ -46,9 +46,9 @@ class LadderReport:
 
 
 def _test_function(tag: str, beta: float):
-    """Built-in test-function family; returns (f, supported_quadrature_target)."""
+    """Built-in test-function family; returns f."""
     if tag == "zero":
-        return (lambda x: np.zeros_like(np.asarray(x, dtype=float))), True
+        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     if tag == "bump":
 
         def f(x):
@@ -59,7 +59,7 @@ def _test_function(tag: str, beta: float):
             out[inside] = np.exp(-1.0 / ((xi - 1.0) * (2.0 - xi)))
             return out
 
-        return f, True
+        return f
     if tag.startswith("power-exp:"):
         gamma = float(tag.split(":", 1)[1])
         if not gamma > beta:
@@ -72,25 +72,40 @@ def _test_function(tag: str, beta: float):
             x = np.asarray(x, dtype=float)
             return np.minimum(x, 1.0) ** gamma * np.exp(-x)
 
-        return f, True
+        return f
     raise ValueError(f"unknown test-function tag {tag!r}")
 
 
 def _levy_integral(exp, f) -> float:
     """Quadrature of f against the Levy measure, log-substituted on both ends."""
-    lo_part, _ = integrate.quad(
-        lambda w: float(f(math.exp(w))) * levy_density(exp, math.exp(w)) * math.exp(w),
-        -700.0,
-        0.0,
-        limit=400,
-    )
-    hi_part, _ = integrate.quad(
-        lambda v: float(f(math.exp(v))) * levy_density(exp, math.exp(v)) * math.exp(v),
-        0.0,
-        50.0,
-        limit=400,
-    )
+
+    def integrand(w):
+        return float(f(math.exp(w))) * levy_density(exp, math.exp(w)) * math.exp(w)
+
+    lo_part, _ = integrate.quad(integrand, -700.0, 0.0, limit=400)
+    hi_part, _ = integrate.quad(integrand, 0.0, 50.0, limit=400)
     return lo_part + hi_part
+
+
+def _levy_kernel(args, stream, lo, size, n):
+    exp, f, t, use_is = args
+    if use_is:
+        d, w = _is_stable_draws(exp.beta, t, _LEVY_IS_LREF, size, stream)
+        return f(d) * w / t
+    return f(samplers.sample_subordinator(exp, t, stream, size)) / t
+
+
+def _small_ball_kernel(args, stream, lo, size, n):
+    exp, delta, t = args
+    return (samplers.sample_subordinator(exp, delta, stream, size) <= t).astype(float)
+
+
+def _inverse_moment_kernel(args, stream, lo, size, n):
+    # the plain and the delta = 1 truncated moment, from the same draws
+    spec, t, p, scale = args
+    e = samplers.sample_inverse(spec, t, stream, size)
+    x = e**p * scale
+    return np.stack((x, x * (e <= 1.0)))
 
 
 def check_levy_convergence(exp, f_tag: str, t_ladder, n: int, stream: RandomStream) -> LadderReport:
@@ -102,7 +117,7 @@ def check_levy_convergence(exp, f_tag: str, t_ladder, n: int, stream: RandomStre
     the pass rule.
     """
     beta = leading_index(exp)
-    f, _ = _test_function(f_tag, beta)
+    f = _test_function(f_tag, beta)
     target = _levy_integral(exp, f)
     ts = sorted((float(t) for t in t_ladder), reverse=True)
     if not ts:
@@ -110,18 +125,7 @@ def check_levy_convergence(exp, f_tag: str, t_ladder, n: int, stream: RandomStre
     use_is = isinstance(exp, Stable)
     points = []
     for t in ts:
-        parts = []
-        for lo in range(0, n, BLOCK):
-            size = min(BLOCK, n - lo)
-            block = stream.spawn(lo)
-            if use_is:
-                d, w = _is_stable_draws(exp.beta, t, _LEVY_IS_LREF, size, block)
-                x = f(d) * w / t
-            else:
-                d = samplers.sample_subordinator(exp, t, block, size)
-                x = f(d) / t
-            parts.append((float(x.sum()), float((x * x).sum()), size))
-        mean, se = combine_blocks(parts)
+        mean, se = run_blocks(_levy_kernel, (exp, f, t, use_is), n, stream)
         points.append((t, mean, se))
     t_f, stat_f, se_f = points[-1]
     tol = max(4.0 * se_f, 0.02 * abs(target))
@@ -167,15 +171,8 @@ def check_small_ball(exp, delta: float, t_ladder, n: int, stream: RandomStream) 
             neg_log_p = -(shift + math.log(p_shift))
             points.append((t, neg_log_p, se_shift / p_shift))
     else:
-        spec_like = exp
         for t in ts:
-            parts = []
-            for lo in range(0, n, BLOCK):
-                size = min(BLOCK, n - lo)
-                d = samplers.sample_subordinator(spec_like, delta, stream.spawn(lo), size)
-                x = (d <= t).astype(float)
-                parts.append((float(x.sum()), float((x * x).sum()), size))
-            mean, se = combine_blocks(parts)
+            mean, se = run_blocks(_small_ball_kernel, (exp, delta, t), n, stream)
             if mean == 0.0:
                 raise LadderTooDeepError(
                     f"no path reached D_delta <= {t:g} out of {n}; raise the ladder or n"
@@ -244,17 +241,9 @@ def check_inverse_moments(exp, p: float, t_ladder, n: int, stream: RandomStream)
     trunc_ratio = 1.0
     for t in ts:
         scale = phi(exp, 1.0 / t) ** p
-        parts = []
-        parts_trunc = []
-        for lo in range(0, n, BLOCK):
-            size = min(BLOCK, n - lo)
-            e = samplers.sample_inverse(spec, t, stream.spawn(lo), size)
-            x = e**p * scale
-            parts.append((float(x.sum()), float((x * x).sum()), size))
-            xt = x * (e <= 1.0)
-            parts_trunc.append((float(xt.sum()), float((xt * xt).sum()), size))
-        mean, se = combine_blocks(parts)
-        mean_trunc, _ = combine_blocks(parts_trunc)
+        (mean, se), (mean_trunc, _) = run_blocks(
+            _inverse_moment_kernel, (spec, t, p, scale), n, stream
+        )
         points.append((t, mean, se))
         trunc_ratio = mean_trunc / mean if mean > 0.0 else math.inf
     t_f, stat_f, se_f = points[-1]

@@ -7,63 +7,34 @@ additionally use importance sampling on the Kanter representation, because
 plain draws almost never land in the region where the deficit |Omega| - Q is
 nonzero once t is of order 1e-8.
 
-Work is blocked in fixed chunks with one counter-based stream per block, and
-block results are combined by a pairwise tree in block order, so estimates are
-bit-identical for any worker count.
+Each estimator is a block kernel, a few lines that turn one block's clock
+draws into per-path values, run by the block engine samplers.run_blocks: one
+counter-based stream per block of BLOCK paths, block moments combined by a
+pairwise tree in block order, so estimates are bit-identical for any worker
+count. Estimate, BLOCK and combine_blocks live next to the engine and are
+re-exported here.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import samplers
-from .heat_oracles import Disk, Interval, disk_survival_block, exact_H_interval, exact_Q_interval
-from .levy_exponents import MixedStable, Regime, Stable, TemperedStable, regime
-from .samplers import Kind, RandomStream, TimeChangeSpec, UnsupportedConfigurationError
-
-BLOCK = 32768
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    stderr: float
-    n_paths: int
-    seed: int
-    wall_time: float
-
-
-def combine_blocks(parts):
-    """Pairwise-tree reduction of per-block (sum, sum of squares, count).
-
-    The tree shape depends only on the block count, so the combined mean and
-    stderr are bit-identical however the blocks were scheduled.
-    """
-    items = list(parts)
-    if not items:
-        raise ValueError("no blocks to combine")
-    while len(items) > 1:
-        merged = [
-            (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-            for a, b in zip(items[0::2], items[1::2])
-        ]
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    s, q, n = items[0]
-    mean = s / n
-    var = max(q / n - mean * mean, 0.0)
-    if n > 1:
-        var *= n / (n - 1.0)
-    return mean, float(np.sqrt(var / n))
-
-
-def _moments(x):
-    return float(x.sum()), float((x * x).sum()), x.size
+from .heat_oracles import Disk, Interval, _disk_content_kernel, exact_H_interval, exact_Q_interval
+from .levy_exponents import MixedStable, Regime, TemperedStable, regime
+from .samplers import (  # BLOCK, Estimate and combine_blocks are re-exported
+    BLOCK,
+    Estimate,
+    Kind,
+    TimeChangeSpec,
+    UnsupportedConfigurationError,
+    combine_blocks,
+    run_blocks,
+    sample_clock,
+)
 
 
 def _is_stable_draws(beta, t, L, n, stream):
@@ -100,13 +71,7 @@ def _deficit_is_draws(exp, t, dom, n, stream):
     sampling; tempered exponents ride the stable proposal through an exact
     exponential tilt of the marginal density."""
     L = dom.length
-    if isinstance(exp, Stable):
-        d, w = _is_stable_draws(exp.beta, t, L, n, stream)
-    elif isinstance(exp, TemperedStable):
-        d, w = _is_stable_draws(exp.beta, t, L, n, stream)
-        with np.errstate(under="ignore"):
-            w = w * np.exp(-exp.theta * d + t * exp.theta**exp.beta)
-    elif isinstance(exp, MixedStable):
+    if isinstance(exp, MixedStable):
         # Telescope the deficit over components: with partial sums
         # S_j = D_1 + ... + D_j, write |Omega| - Q(S_N) as the sum over j of
         # Q(S_{j-1}) - Q(S_{j-1} + D_j), importance-sample D_j only, and draw
@@ -127,79 +92,52 @@ def _deficit_is_draws(exp, t, dom, n, stream):
                 plain = samplers.sample_stable(b, wt * t, stream.spawn(2 + 2 * i), n)
                 s_prev = np.minimum(s_prev + plain, 1e300)
         return out
-    else:
-        raise TypeError(f"unknown exponent type {type(exp).__name__}")
+    d, w = _is_stable_draws(exp.beta, t, L, n, stream)
+    if isinstance(exp, TemperedStable):
+        with np.errstate(under="ignore"):
+            w = w * np.exp(-exp.theta * d + t * exp.theta**exp.beta)
     return (dom.volume - exact_Q_interval(dom, d)) * w
 
 
-def _block_spectral_sub(args):
-    exp, dom, t, use_is, seed, base_key, lo, size, _n_total = args
-    stream = RandomStream(seed, base_key + lo)
+def _spectral_kernel(args, stream, lo, size, n):
+    # both branches return deficit draws |Omega| - Q
+    spec, dom, t, use_is = args
     if use_is:
-        x = _deficit_is_draws(exp, t, dom, size, stream)
-    else:
-        d = samplers.sample_subordinator(exp, t, stream, size)
-        x = dom.volume - exact_Q_interval(dom, d)
-    return _moments(x)
+        return _deficit_is_draws(spec.exponent, t, dom, size, stream)
+    return dom.volume - exact_Q_interval(dom, sample_clock(spec, t, stream, size))
 
 
-def _block_spectral_inv(args):
-    spec, dom, t, seed, base_key, lo, size, _n_total = args
-    stream = RandomStream(seed, base_key + lo)
-    d = samplers.sample_inverse(spec, t, stream, size)
-    x = dom.volume - exact_Q_interval(dom, d)
-    return _moments(x)
+def _regular_kernel(args, stream, lo, size, n):
+    spec, dom, t = args
+    return exact_H_interval(dom, sample_clock(spec, t, stream, size))
 
 
-def _block_regular(args):
-    spec, dom, t, seed, base_key, lo, size, _n_total = args
-    stream = RandomStream(seed, base_key + lo)
-    if spec.kind is Kind.SUBORDINATOR:
-        d = samplers.sample_subordinator(spec.exponent, t, stream, size)
-    else:
-        d = samplers.sample_inverse(spec, t, stream, size)
-    x = exact_H_interval(dom, d)
-    return _moments(x)
+def _disk_kernel(args, stream, lo, size, n):
+    spec, dom, t = args
+    return _disk_content_kernel((dom, sample_clock(spec, t, stream, size)), stream, lo, size, n)
 
 
-def _block_disk(args):
-    spec, dom, t, seed, base_key, lo, size, n_total = args
-    stream = RandomStream(seed, base_key + lo)
-    if spec.kind is Kind.SUBORDINATOR:
-        d = samplers.sample_subordinator(spec.exponent, t, stream, size)
-    else:
-        d = samplers.sample_inverse(spec, t, stream, size)
-    surv = disk_survival_block(
-        dom.radius, d, stream, strat_index=lo, strat_total=n_total, n=size
-    )
-    return _moments(dom.volume * surv)
+def _estimate(kernel, args, n, stream, workers, *, want=Interval, deficit=False):
+    """Run kernel, whose args start with (spec, dom, t), over n paths.
 
-
-def _run_blocks(task, common, n, stream, workers):
-    blocks = [(lo, min(BLOCK, n - lo)) for lo in range(0, n, BLOCK)]
-    argset = [common + (stream.seed, stream.stream_key, lo, size, n) for lo, size in blocks]
-    if workers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(task, argset))
-    else:
-        parts = [task(a) for a in argset]
-    return combine_blocks(parts)
-
-
-def _check_common(dom, want, t, n):
+    A deficit kernel's mean is subtracted from |Omega|; the content is then
+    clamped to the physical range [0, |Omega|].
+    """
+    _, dom, t = args[:3]
     if not isinstance(dom, want):
         other = "estimate_spectral_disk" if want is Interval else "the interval estimators"
         raise UnsupportedConfigurationError(
             f"domain {type(dom).__name__} not supported here; use {other}"
         )
-    if not t > 0.0:
-        raise ValueError("t must be positive")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if n < 2:
         raise ValueError("need at least 2 paths")
-
-
-def _clamp(value, vol):
-    return min(max(value, 0.0), vol)
+    start = time.perf_counter()
+    mean, se = run_blocks(kernel, args, n, stream, workers)
+    value = dom.volume - mean if deficit else mean
+    value = min(max(value, 0.0), dom.volume)
+    return Estimate(value, se, n, stream.seed, time.perf_counter() - start)
 
 
 def estimate_spectral_subordinate(exp, dom, t, n, stream, *, workers=1):
@@ -208,14 +146,9 @@ def estimate_spectral_subordinate(exp, dom, t, n, stream, *, workers=1):
     Conditioning on the clock D_t reduces each path to the exact interval heat
     content Q(D_t); deep-time low-index runs switch to importance sampling.
     """
-    _check_common(dom, Interval, t, n)
-    start = time.perf_counter()
+    spec = TimeChangeSpec(exp, Kind.SUBORDINATOR)
     use_is = regime(exp) is not Regime.HIGH_INDEX
-    mean, se = _run_blocks(_block_spectral_sub, (exp, dom, t, use_is), n, stream, workers)
-    # importance sampling estimates the deficit directly; both paths return
-    # deficit draws, so the content is volume minus the combined mean
-    value = _clamp(dom.volume - mean, dom.volume)
-    return Estimate(value, se, n, stream.seed, time.perf_counter() - start)
+    return _estimate(_spectral_kernel, (spec, dom, t, use_is), n, stream, workers, deficit=True)
 
 
 def estimate_spectral_inverse(
@@ -226,33 +159,21 @@ def estimate_spectral_inverse(
     The inverse clock is continuous, so the killed and time-changed-then-
     killed contents coincide and one estimator serves both.
     """
-    _check_common(dom, Interval, t, n)
-    start = time.perf_counter()
     spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step, refine_bisections)
-    mean, se = _run_blocks(_block_spectral_inv, (spec, dom, t), n, stream, workers)
-    value = _clamp(dom.volume - mean, dom.volume)
-    return Estimate(value, se, n, stream.seed, time.perf_counter() - start)
+    return _estimate(_spectral_kernel, (spec, dom, t, False), n, stream, workers, deficit=True)
 
 
 def estimate_regular(
     exp, dom, t, n, stream, kind, *, grid_step=None, refine_bisections=20, workers=1
 ):
     """Regular heat content: expected heat mass in the complement at time t."""
-    _check_common(dom, Interval, t, n)
-    kind = Kind(kind) if isinstance(kind, str) else kind
-    start = time.perf_counter()
-    spec = TimeChangeSpec(exp, kind, grid_step, refine_bisections)
-    mean, se = _run_blocks(_block_regular, (spec, dom, t), n, stream, workers)
-    return Estimate(_clamp(mean, dom.volume), se, n, stream.seed, time.perf_counter() - start)
+    spec = TimeChangeSpec(exp, Kind(kind), grid_step, refine_bisections)
+    return _estimate(_regular_kernel, (spec, dom, t), n, stream, workers)
 
 
 def estimate_spectral_disk(
     exp, dom, t, n, stream, kind, *, grid_step=None, refine_bisections=20, workers=1
 ):
     """Two-stage disk estimate: draw the clock, then one killed walk per clock."""
-    _check_common(dom, Disk, t, n)
-    kind = Kind(kind) if isinstance(kind, str) else kind
-    start = time.perf_counter()
-    spec = TimeChangeSpec(exp, kind, grid_step, refine_bisections)
-    mean, se = _run_blocks(_block_disk, (spec, dom, t), n, stream, workers)
-    return Estimate(_clamp(mean, dom.volume), se, n, stream.seed, time.perf_counter() - start)
+    spec = TimeChangeSpec(exp, Kind(kind), grid_step, refine_bisections)
+    return _estimate(_disk_kernel, (spec, dom, t), n, stream, workers, want=Disk)

@@ -8,12 +8,14 @@ gets an Euler walk with a Brownian-bridge boundary-crossing correction.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .samplers import RandomStream
+from .levy_exponents import phi
+from .samplers import Estimate, RandomStream, run_blocks
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _EIGEN_K = np.arange(1.0, 42.0, 2.0)  # odd modes; terms beyond 41 underflow at the switch
@@ -215,43 +217,36 @@ def subordinate_deficit_series(dom: Interval, exp, t: float, kmax: int = 6_000_0
     Conditioning on the clock and taking the Laplace transform of the
     eigenfunction expansion gives
         deficit(t) = sum over odd k of (8L / (pi k)^2) (1 - e^(-t phi(lambda_k)))
-    with lambda_k = (k pi / L)^2. Returns (value, tail_bound) where tail_bound
-    dominates the truncated remainder: sum_{k>kmax} 8L/(pi k)^2 <= 4L/(pi^2 kmax).
+    with lambda_k = (k pi / L)^2. Returns (value, tail_bound): value sums every
+    odd k <= kmax, and tail_bound dominates the remainder,
+    sum over odd k > kmax of 8L/(pi k)^2 <= 4L/(pi^2 kmax).
     Valid for every exponent in the catalog at every t, so it serves as the
     ground truth the sampling estimators are checked against.
     """
-    from .levy_exponents import phi
-
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     L = dom.length
     out = 0.0
-    for lo in range(1, kmax, 2_000_000):
-        k = np.arange(lo, min(lo + 2_000_000, kmax), 2, dtype=float)
+    for lo in range(1, kmax + 1, 2_000_000):
+        k = np.arange(lo, min(lo + 2_000_000, kmax + 1), 2, dtype=float)
         lam = (k * np.pi / L) ** 2
         out += float(np.sum(8.0 * L / (np.pi * k) ** 2 * (-np.expm1(-t * phi(exp, lam)))))
     tail = 4.0 * L / (np.pi**2 * kmax)
     return out, tail
 
 
+def _disk_content_kernel(args, stream, lo, size, n):
+    # u is a scalar clock or one clock per path of the block
+    dom, u = args
+    return dom.volume * disk_survival_block(
+        dom.radius, u, stream, strat_index=lo, strat_total=n, n=size
+    )
+
+
 def mc_Q_disk(dom: Disk, u: float, n_paths: int, stream: RandomStream):
     """Monte Carlo heat content of the disk at clock u; returns an Estimate."""
-    from .estimators import Estimate, BLOCK, combine_blocks
-    import time
-
     if not u > 0.0:
         raise ValueError("time must be positive")
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
     start = time.perf_counter()
-    vol = dom.volume
-    parts = []
-    for lo in range(0, n_paths, BLOCK):
-        size = min(BLOCK, n_paths - lo)
-        surv = disk_survival_block(
-            dom.radius, u, stream.spawn(lo), strat_index=lo, strat_total=n_paths, n=size
-        )
-        vals = vol * surv
-        parts.append((float(vals.sum()), float((vals * vals).sum()), size))
-    value, stderr = combine_blocks(parts)
+    value, stderr = run_blocks(_disk_content_kernel, (dom, u), n_paths, stream)
     return Estimate(value, stderr, n_paths, stream.seed, time.perf_counter() - start)

@@ -229,16 +229,6 @@ def levy_tail(exp: LaplaceExponent, delta):
     return float(out) if np.isscalar(delta) or d_arr.ndim == 0 else out
 
 
-def small_lambda_integrability(exp: LaplaceExponent) -> bool:
-    """Whether the integral of phi(s)/s is finite near zero.
-
-    Every catalog family has power-law (or asymptotically linear) behavior of
-    phi at the origin, so this always holds; kept as an explicit guard for
-    future exponent families.
-    """
-    return True
-
-
 def regime(exp: LaplaceExponent) -> Regime:
     """Classify by the leading index with an exact comparison to one half."""
     b = leading_index(exp)

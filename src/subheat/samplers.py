@@ -5,13 +5,18 @@ stream_key), so any draw sequence is reproducible bit-for-bit regardless of
 scheduling. Stable variates use Kanter's representation (exact, no rejection);
 tempered variates use exponential-tilt rejection; inverse variates use the
 exact first-passage identity for stable exponents and a grid first-passage
-walk with conditional bisection refinement otherwise.
+walk with conditional bisection refinement otherwise; sample_clock picks the
+subordinator or the inverse sampler by the kind of a TimeChangeSpec.
+run_blocks, the package's one Monte Carlo block driver, sits next to the
+streams it keys.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,7 @@ import numpy as np
 from .levy_exponents import LaplaceExponent, MixedStable, Stable, TemperedStable, phi_prime
 
 _OPEN_EPS = 2.0**-54  # keeps uniforms strictly inside (0,1)
+BLOCK = 32768
 
 
 class RunawaySamplerError(RuntimeError):
@@ -62,6 +68,72 @@ class RandomStream:
     def spawn(self, offset: int) -> "RandomStream":
         """Fresh stream for the path block starting at index offset."""
         return RandomStream(self.seed, self.stream_key + int(offset))
+
+
+@dataclass(frozen=True)
+class Estimate:
+    value: float
+    stderr: float
+    n_paths: int
+    seed: int
+    wall_time: float
+
+
+def combine_blocks(parts):
+    """Pairwise-tree reduction of per-block (sum, sum of squares, count).
+
+    The tree shape depends only on the block count, so the combined mean and
+    stderr are bit-identical however the blocks were scheduled.
+    """
+    items = list(parts)
+    if not items:
+        raise ValueError("no blocks to combine")
+    while len(items) > 1:
+        merged = [
+            (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+            for a, b in zip(items[0::2], items[1::2])
+        ]
+        if len(items) % 2:
+            merged.append(items[-1])
+        items = merged
+    s, q, n = items[0]
+    mean = s / n
+    var = max(q / n - mean * mean, 0.0)
+    if n > 1:
+        var *= n / (n - 1.0)
+    return mean, float(np.sqrt(var / n))
+
+
+def _block_moments(task):
+    kernel, args, stream, lo, size, n = task
+    x = kernel(args, stream.spawn(lo), lo, size, n)
+    return [(float(row.sum()), float((row * row).sum()), row.size) for row in np.atleast_2d(x)]
+
+
+def run_blocks(kernel, args, n, stream, workers=1):
+    """Mean and stderr of n per-path values, computed in blocks of BLOCK paths.
+
+    kernel(args, stream, lo, size, n) is a module-level function returning the
+    values of paths lo .. lo+size-1, drawn from stream.spawn(lo), the block's
+    own stream; a kernel may return several rows of values from the same
+    draws, and then one (mean, stderr) pair per row is returned.  Blocks are
+    combined by combine_blocks in block order, so results are bit-identical
+    for any worker count; more than one worker runs the blocks in a process
+    pool of at most one process per block and per CPU.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if n < 1:
+        raise ValueError(f"need at least 1 path, got {n}")
+    tasks = [(kernel, args, stream, lo, min(BLOCK, n - lo), n) for lo in range(0, n, BLOCK)]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(_block_moments, tasks))
+    else:
+        parts = [_block_moments(task) for task in tasks]
+    rows = [combine_blocks(blocks) for blocks in zip(*parts)]
+    return rows[0] if len(rows) == 1 else rows
 
 
 @dataclass(frozen=True)
@@ -151,10 +223,7 @@ def _increment_block(exp: LaplaceExponent, h: float, stream: RandomStream, shape
     if isinstance(exp, Stable):
         return _stable_block(exp.beta, h, stream, shape)
     if isinstance(exp, MixedStable):
-        inc = np.zeros(shape, dtype=float)
-        for b, w in exp.components:
-            inc += _stable_block(b, w * h, stream, shape)
-        return inc
+        return sample_mixed(exp.components, h, stream, shape)
     beta, theta = exp.beta, exp.theta
     row_time = h * (shape[1] if len(shape) > 1 else 1)
     if row_time * theta**beta > 0.5:
@@ -334,3 +403,10 @@ def sample_inverse(spec: TimeChangeSpec, t: float, stream: RandomStream, size=No
         h = spec.grid_step if spec.grid_step is not None else t * 1e-3
         out = _grid_inverse_block(exp, t, h, spec.refine_bisections, stream, n)
     return float(out[0]) if size is None else out
+
+
+def sample_clock(spec: TimeChangeSpec, t: float, stream: RandomStream, n):
+    """Clock value at time t: D_t for a subordinator spec, E_t for an inverse one."""
+    if spec.kind is Kind.SUBORDINATOR:
+        return sample_subordinator(spec.exponent, t, stream, n)
+    return sample_inverse(spec, t, stream, n)

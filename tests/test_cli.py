@@ -213,6 +213,22 @@ def test_exit_2_on_bad_ladder_flag():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--exponent", "tempered:0.75,1", "--t", "inf"], "t must be positive and finite"),
+        (["--t-ladder", "inf,1e-3"], "t must be positive and finite"),
+        (["--t", "1e-3", "--paths", "4096", "--workers", "0"], "workers must be at least 1"),
+    ],
+    ids=["t-inf", "ladder-inf", "workers-0"],
+)
+def test_exit_2_on_infinite_t_or_no_workers(flags, message, capsys):
+    assert main(["estimate", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert message in err
+
+
 def test_exit_3_on_unsupported_configuration(capsys):
     code = main(["predict", "--exponent", "stable:0.25", "--domain", "disk:1"])
     assert code == 3

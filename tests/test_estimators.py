@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from subheat import (
     RandomStream,
     Stable,
     TemperedStable,
+    TimeChangeSpec,
     UnsupportedConfigurationError,
     estimate_regular,
     estimate_spectral_disk,
@@ -21,7 +23,8 @@ from subheat import (
     exact_Q_interval,
     subordinate_deficit_series,
 )
-from subheat.estimators import BLOCK, combine_blocks
+from subheat import samplers
+from subheat.estimators import BLOCK, _regular_kernel, combine_blocks
 
 UNIT = Interval(0.0, 1.0)
 
@@ -61,11 +64,56 @@ def test_spectral_subordinate_matches_series_oracle(exp, t, kmax):
     assert est.wall_time > 0.0
 
 
-def test_spectral_subordinate_worker_bit_identity():
-    a = estimate_spectral_subordinate(Stable(0.75), UNIT, 1e-3, 3 * BLOCK, RandomStream(9), workers=1)
-    b = estimate_spectral_subordinate(Stable(0.75), UNIT, 1e-3, 3 * BLOCK, RandomStream(9), workers=2)
+@pytest.mark.parametrize(
+    "estimate,exp,dom,extra",
+    [
+        (estimate_spectral_subordinate, Stable(0.75), UNIT, ()),
+        (estimate_spectral_inverse, Stable(0.5), UNIT, ()),
+        (estimate_regular, Stable(0.5), UNIT, (Kind.SUBORDINATOR,)),
+        (estimate_regular, Stable(0.5), UNIT, (Kind.INVERSE,)),
+        (estimate_spectral_disk, Stable(0.75), Disk(1.0), (Kind.SUBORDINATOR,)),
+        (estimate_spectral_disk, Stable(0.5), Disk(1.0), (Kind.INVERSE,)),
+    ],
+    ids=["spectral-sub", "spectral-inv", "regular-sub", "regular-inv", "disk-sub", "disk-inv"],
+)
+def test_worker_bit_identity(estimate, exp, dom, extra):
+    # the pool pickles each kernel and its arguments; a ragged last block
+    # checks that the block keys do not depend on the schedule
+    n = 2 * BLOCK + 17
+    a = estimate(exp, dom, 1e-3, n, RandomStream(9), *extra, workers=1)
+    b = estimate(exp, dom, 1e-3, n, RandomStream(9), *extra, workers=2)
     assert a.value == b.value
     assert a.stderr == b.stderr
+
+
+def test_run_blocks_validates_and_caps_workers(monkeypatch):
+    # a stand-in pool records its size and runs in process, so no worker
+    # count, however large, starts a process here
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(samplers, "ProcessPoolExecutor", InlinePool)
+    spec = TimeChangeSpec(Stable(0.75), Kind.SUBORDINATOR)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            samplers.run_blocks(_regular_kernel, (spec, UNIT, 1e-3), 3 * BLOCK, RandomStream(4), workers)
+    serial = samplers.run_blocks(_regular_kernel, (spec, UNIT, 1e-3), 3 * BLOCK, RandomStream(4))
+    capped = samplers.run_blocks(_regular_kernel, (spec, UNIT, 1e-3), 3 * BLOCK, RandomStream(4), 10**6)
+    cpus = os.cpu_count() or 1
+    assert capped == serial
+    assert sizes == ([min(3, cpus)] if cpus > 1 else [])
 
 
 def test_mixed_telescoped_worker_bit_identity():

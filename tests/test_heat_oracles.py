@@ -139,6 +139,14 @@ def test_deficit_series_tail_bound_and_monotone_truncation(exp, t):
     assert val_a <= val_b <= val_a + tail_a
 
 
+@pytest.mark.parametrize("kmax", [2_000_000, 2_000_001])
+def test_deficit_series_tail_bound_holds_when_saturated(kmax):
+    # at t = 1e3 every term of the series is saturated, so the truncated sum
+    # plus its tail bound must reach the full deficit L = 1 for odd kmax too
+    value, tail = subordinate_deficit_series(UNIT, Stable(0.5), 1e3, kmax=kmax)
+    assert value + tail >= UNIT.volume
+
+
 def test_deficit_series_against_exact_half_stable_clock():
     # for the 1/2-stable clock D_t = t^2/(2 Z^2), average the exact interval
     # deficit over the clock law by quadrature; fully independent of the
