@@ -19,11 +19,8 @@ from scipy.special import gamma as gamma_fn, gammainc
 from .heat_oracles import Disk, Interval, exact_H_interval, exact_Q_interval
 from .levy_exponents import (
     LaplaceExponent,
-    MixedStable,
     Regime,
     Stable,
-    TemperedStable,
-    _components,
     leading_index,
     levy_density,
     phi,
@@ -123,12 +120,9 @@ def _critical_leading_weight(exp) -> float:
     """Weight of the exact-1/2 leading term, or raise if the critical limit
     is not covered for this exponent (it needs phi = w sqrt(s) + lower order
     with the remainder itself a Laplace exponent of smaller index)."""
-    if isinstance(exp, Stable):
-        return 1.0
-    if isinstance(exp, MixedStable):
-        b, w = exp.components[-1]
-        if b == 0.5:
-            return w
+    b, w = exp.components[-1]
+    if b == 0.5 and exp.theta == 0.0:
+        return w
     raise UnsupportedConfigurationError(
         "critical-regime limit requires leading term exactly sqrt(s); "
         f"{exp!r} is not of that form"
@@ -139,12 +133,11 @@ def _sqrt_weight_integral(exp) -> float:
     """Closed form of the singular piece: integral over (0,1) of sqrt(u) against
     the Levy measure, per component with all indices below 1/2."""
     total = 0.0
-    theta = exp.theta if isinstance(exp, TemperedStable) else 0.0
-    for b, w in _components(exp):
+    for b, w in exp.components:
         c = w * b / gamma_fn(1.0 - b)
         a = 0.5 - b
-        if theta > 0.0:
-            total += c * theta**-a * gamma_fn(a) * gammainc(a, theta)
+        if exp.theta > 0.0:
+            total += c * exp.theta**-a * gamma_fn(a) * gammainc(a, exp.theta)
         else:
             total += c / a
     return total

@@ -88,6 +88,12 @@ class RunConfig:
     quick: bool = False
     tolerance: float | None = None
 
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.tolerance is not None and not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+
     def ladder(self) -> tuple[float, ...]:
         if self.t_ladder:
             return self.t_ladder
@@ -171,9 +177,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     env_seed = os.environ.get("SUBHEAT_SEED")
     if env_seed is not None:
         seed_default = int(env_seed)
-    ladder = pick("t_ladder", "t-ladder", None)
-    if isinstance(ladder, str):
-        ladder = _parse_ladder(ladder)
     kind = pick("time_change", "time-change", "sub")
     if kind not in ("sub", "inv"):
         raise ValueError(f"time-change must be 'sub' or 'inv', got {kind!r}")
@@ -186,7 +189,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         domain=pick("domain", "domain", "interval:0,1"),
         time_change=kind,
         t=pick("t", "t", None),
-        t_ladder=ladder,
+        t_ladder=pick("t_ladder", "t-ladder", None),
         paths=pick("paths", "paths", 200_000),
         seed=pick("seed", "seed", seed_default),
         workers=pick("workers", "workers", 1),
@@ -645,6 +648,9 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"configuration error: {type(exc).__name__} {exc}", file=sys.stderr)
         return 2
 
 

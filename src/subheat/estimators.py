@@ -24,7 +24,7 @@ import numpy as np
 
 from . import samplers
 from .heat_oracles import Disk, Interval, _disk_content_kernel, exact_H_interval, exact_Q_interval
-from .levy_exponents import MixedStable, Regime, TemperedStable, regime
+from .levy_exponents import MixedStable, Regime, regime
 from .samplers import (  # BLOCK, Estimate and combine_blocks are re-exported
     BLOCK,
     Estimate,
@@ -93,7 +93,7 @@ def _deficit_is_draws(exp, t, dom, n, stream):
                 s_prev = np.minimum(s_prev + plain, 1e300)
         return out
     d, w = _is_stable_draws(exp.beta, t, L, n, stream)
-    if isinstance(exp, TemperedStable):
+    if exp.theta > 0.0:
         with np.errstate(under="ignore"):
             w = w * np.exp(-exp.theta * d + t * exp.theta**exp.beta)
     return (dom.volume - exact_Q_interval(dom, d)) * w

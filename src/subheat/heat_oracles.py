@@ -8,6 +8,7 @@ gets an Euler walk with a Brownian-bridge boundary-crossing correction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,8 +30,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"interval needs a < b, got ({self.a}, {self.b})")
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise ValueError(f"interval needs a < b at finite distance, got ({self.a}, {self.b})")
 
     @property
     def length(self) -> float:
@@ -52,8 +53,8 @@ class Disk:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError(f"disk radius must be positive, got {self.radius}")
+        if not (self.radius > 0.0 and math.isfinite(self.radius)):
+            raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
 
     @property
     def volume(self) -> float:

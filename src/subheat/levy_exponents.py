@@ -1,9 +1,15 @@
 """Catalog of subordinator Laplace exponents.
 
 Three closed families: stable, exponentially tempered stable, and sums of
-weighted stable components. Each exposes the exponent phi in closed form
-together with its inverse, Levy density, tail mass, and a small-time regime
-classification driven by the leading index.
+weighted stable components. Every exponent is read through one view: its
+stable components, the (index, weight) pairs in `components`, and the
+tempering rate `theta` (0 unless tempered), so that
+
+    phi(s) = sum_i w_i * ((s + theta)**b_i - theta**b_i).
+
+phi, its derivative and inverse, the Levy density and tail mass, and the
+small-time regime classification driven by the leading index are each one
+formula over that view.
 """
 
 from __future__ import annotations
@@ -11,9 +17,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn, gammaincc
+from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -21,10 +29,15 @@ class Stable:
     """phi(s) = s**beta with index beta in (0,1)."""
 
     beta: float
+    theta: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"stable index must lie in (0,1), got {self.beta}")
+
+    @property
+    def components(self) -> tuple[tuple[float, float], ...]:
+        return ((self.beta, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -37,8 +50,12 @@ class TemperedStable:
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"tempered index must lie in (0,1), got {self.beta}")
-        if not self.theta > 0.0:
-            raise ValueError(f"tempering rate must be positive, got {self.theta}")
+        if not (self.theta > 0.0 and math.isfinite(self.theta)):
+            raise ValueError(f"tempering rate must be positive and finite, got {self.theta}")
+
+    @property
+    def components(self) -> tuple[tuple[float, float], ...]:
+        return ((self.beta, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -50,6 +67,7 @@ class MixedStable:
     """
 
     components: tuple[tuple[float, float], ...]
+    theta: ClassVar[float] = 0.0
 
     def __post_init__(self):
         comps = tuple((float(b), float(w)) for b, w in self.components)
@@ -58,8 +76,8 @@ class MixedStable:
         for b, w in comps:
             if not 0.0 < b < 1.0:
                 raise ValueError(f"mixed index must lie in (0,1), got {b}")
-            if not w > 0.0:
-                raise ValueError(f"mixed weight must be positive, got {w}")
+            if not (w > 0.0 and math.isfinite(w)):
+                raise ValueError(f"mixed weight must be positive and finite, got {w}")
         betas = [b for b, _ in comps]
         if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("mixed indices must be strictly increasing")
@@ -79,86 +97,63 @@ class Regime(enum.Enum):
 
 def leading_index(exp: LaplaceExponent) -> float:
     """Index governing the regular variation of phi at infinity."""
-    if isinstance(exp, (Stable, TemperedStable)):
-        return exp.beta
     return exp.components[-1][0]
 
 
-def _components(exp: LaplaceExponent) -> tuple[tuple[float, float], ...]:
-    """Stable-component view: (beta, weight) pairs, tempering handled apart."""
-    if isinstance(exp, Stable):
-        return ((exp.beta, 1.0),)
-    if isinstance(exp, TemperedStable):
-        return ((exp.beta, 1.0),)
-    return exp.components
+def _positive(x, message: str):
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(x_arr <= 0.0):
+        raise ValueError(message)
+    return x_arr
+
+
+def _shaped_like(x, out):
+    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def phi(exp: LaplaceExponent, s):
     """Laplace exponent at s > 0 (scalar or array)."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise ValueError("phi requires s > 0")
-    if isinstance(exp, Stable):
-        out = s_arr**exp.beta
-    elif isinstance(exp, TemperedStable):
-        out = (s_arr + exp.theta) ** exp.beta - exp.theta**exp.beta
-    else:
-        out = sum(w * s_arr**b for b, w in exp.components)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    th = exp.theta
+    x = _positive(s, "phi requires s > 0") + th
+    return _shaped_like(s, sum(w * (x**b - th**b) for b, w in exp.components))
 
 
 def phi_prime(exp: LaplaceExponent, s):
-    """First derivative of phi, used by the inverse's Newton refinement."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise ValueError("phi_prime requires s > 0")
-    if isinstance(exp, Stable):
-        out = exp.beta * s_arr ** (exp.beta - 1.0)
-    elif isinstance(exp, TemperedStable):
-        out = exp.beta * (s_arr + exp.theta) ** (exp.beta - 1.0)
-    else:
-        out = sum(w * b * s_arr ** (b - 1.0) for b, w in exp.components)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    """First derivative of phi; at s -> 0 it is the clock's mean rate, which
+    the grid first-passage walk uses to refuse hopeless step sizes."""
+    x = _positive(s, "phi_prime requires s > 0") + exp.theta
+    return _shaped_like(s, sum(w * b * x ** (b - 1.0) for b, w in exp.components))
 
 
-def phi_inverse(exp: LaplaceExponent, y: float, rel_tol: float = 1e-12) -> float:
-    """Solve phi(x) = y for x > 0 to relative tolerance rel_tol.
+def phi_inverse(exp: LaplaceExponent, y: float) -> float:
+    """Solve phi(x) = y for x > 0.
 
-    phi is strictly increasing, so a doubling bracket always exists; the
-    bracket is then polished by Newton steps with a bisection safeguard.
+    One component has a closed form: (y/w)**(1/b), or without cancellation
+    theta * expm1(log1p(y / (w theta**b)) / b) when tempered. A sum of k
+    components is solved by Brent's method in log x, bracketed by the points
+    where every term is at most y/k and where some term reaches y; the solve
+    raises rather than return an unconverged root.
     """
     y = float(y)
     if y <= 0.0:
         raise ValueError("phi_inverse requires y > 0")
-    if isinstance(exp, Stable):
-        x0 = y ** (1.0 / exp.beta)
-    elif isinstance(exp, TemperedStable):
-        x0 = (y + exp.theta**exp.beta) ** (1.0 / exp.beta) - exp.theta
-        x0 = max(x0, 1e-300)
-    else:
-        k = len(exp.components)
-        x0 = max((y / (k * w)) ** (1.0 / b) for b, w in exp.components)
-    lo = hi = x0
-    for _ in range(2200):
-        if phi(exp, hi) >= y:
-            break
-        hi *= 2.0
-    for _ in range(2200):
-        if phi(exp, lo) <= y:
-            break
-        lo /= 2.0
-    x = min(max(x0, lo), hi)
-    for _ in range(200):
-        fx = phi(exp, x)
-        if abs(fx - y) <= rel_tol * y:
-            return x
-        if fx > y:
-            hi = x
-        else:
-            lo = x
-        step = x - (fx - y) / phi_prime(exp, x)
-        x = step if lo < step < hi else 0.5 * (lo + hi)
-    return x
+    comps, th = exp.components, exp.theta
+    if len(comps) == 1:
+        (b, w), = comps
+        if th > 0.0:
+            return th * math.expm1(math.log1p(y / (w * th**b)) / b)
+        return (y / w) ** (1.0 / b)
+    k, log_y = len(comps), math.log(y)
+    terms = [(b, math.log(w)) for b, w in comps]
+
+    def excess(v):  # log(phi(e^v) / y), summed without overflow
+        logs = [lw + b * v for b, lw in terms]
+        top = max(logs)
+        return top + math.log(sum(math.exp(a - top) for a in logs)) - log_y
+
+    lo = min((log_y - math.log(k) - lw) / b for b, lw in terms)
+    hi = max((log_y - lw) / b for b, lw in terms)
+    return math.exp(brentq(excess, lo, hi, xtol=1e-15))
 
 
 def levy_density(exp: LaplaceExponent, u):
@@ -168,17 +163,13 @@ def levy_density(exp: LaplaceExponent, u):
     range saturate at the largest finite float so that integrands built on
     top of this stay NaN-free.
     """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0):
-        raise ValueError("levy_density requires u > 0")
-    out = np.zeros_like(u_arr)
+    u_arr = _positive(u, "levy_density requires u > 0")
     with np.errstate(over="ignore"):
-        for b, w in _components(exp):
-            out = out + w * (b / _gamma_fn(1.0 - b)) * u_arr ** (-1.0 - b)
+        out = sum(w * (b / _gamma_fn(1.0 - b)) * u_arr ** (-1.0 - b) for b, w in exp.components)
         out = np.minimum(out, np.finfo(float).max)
-        if isinstance(exp, TemperedStable):
-            out = out * np.exp(-exp.theta * u_arr)
-    return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+    if exp.theta > 0.0:
+        out = out * np.exp(-exp.theta * u_arr)
+    return _shaped_like(u, out)
 
 
 def _upper_gamma_negative(a: float, x: float, max_iter: int = 300) -> float:
@@ -217,16 +208,14 @@ def _tempered_tail_scalar(beta: float, theta: float, delta: float) -> float:
 
 def levy_tail(exp: LaplaceExponent, delta):
     """Tail mass nu([delta, infinity)) for delta > 0 (scalar or array)."""
-    d_arr = np.asarray(delta, dtype=float)
-    if np.any(d_arr <= 0.0):
-        raise ValueError("levy_tail requires delta > 0")
-    if isinstance(exp, TemperedStable):
-        out = np.vectorize(_tempered_tail_scalar)(exp.beta, exp.theta, d_arr)
-    else:
-        out = np.zeros_like(d_arr)
-        for b, w in _components(exp):
-            out = out + w * d_arr ** (-b) / _gamma_fn(1.0 - b)
-    return float(out) if np.isscalar(delta) or d_arr.ndim == 0 else out
+    d_arr = _positive(delta, "levy_tail requires delta > 0")
+    th = exp.theta
+    tempered_tail = np.vectorize(_tempered_tail_scalar)
+    out = sum(
+        w * tempered_tail(b, th, d_arr) if th > 0.0 else w * d_arr ** (-b) / _gamma_fn(1.0 - b)
+        for b, w in exp.components
+    )
+    return _shaped_like(delta, out)
 
 
 def regime(exp: LaplaceExponent) -> Regime:

@@ -220,10 +220,8 @@ def _increment_block(exp: LaplaceExponent, h: float, stream: RandomStream, shape
     product of tempered densities, so rows are exact, and for the tiny h of a
     grid walk the rejection rate is ~h * len(row) * theta^beta.
     """
-    if isinstance(exp, Stable):
-        return _stable_block(exp.beta, h, stream, shape)
-    if isinstance(exp, MixedStable):
-        return sample_mixed(exp.components, h, stream, shape)
+    if exp.theta == 0.0:
+        return _stable_sum_block(exp.components, h, stream, shape)
     beta, theta = exp.beta, exp.theta
     row_time = h * (shape[1] if len(shape) > 1 else 1)
     if row_time * theta**beta > 0.5:
@@ -240,49 +238,41 @@ def _increment_block(exp: LaplaceExponent, h: float, stream: RandomStream, shape
     return inc.reshape(shape)
 
 
-def sample_stable(beta: float, t: float, stream: RandomStream, size=None):
-    """Stable subordinator marginal S_t with E[e^(-s S_t)] = e^(-t s^beta)."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0,1)")
+def _stable_sum_block(components, t: float, stream: RandomStream, shape):
+    """Sum of independent stable marginals, one per (beta_i, w_i) component."""
+    (b, w), *rest = components
+    out = _stable_block(b, w * t, stream, shape)
+    for b, w in rest:
+        out += _stable_block(b, w * t, stream, shape)
+    return out
+
+
+def sample_subordinator(exp: LaplaceExponent, t: float, stream: RandomStream, size=None):
+    """Marginal D_t for any catalog exponent: tilt rejection when tempered,
+    otherwise a sum of independent stable components."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    out = _stable_block(beta, t, stream, size if size is not None else 1)
+    shape = size if size is not None else 1
+    if exp.theta > 0.0:
+        out = _tempered_block(exp.beta, exp.theta, t, stream, shape)
+    else:
+        out = _stable_sum_block(exp.components, t, stream, shape)
     return float(out[0]) if size is None else out
+
+
+def sample_stable(beta: float, t: float, stream: RandomStream, size=None):
+    """Stable subordinator marginal S_t with E[e^(-s S_t)] = e^(-t s^beta)."""
+    return sample_subordinator(Stable(beta), t, stream, size)
 
 
 def sample_tempered(beta: float, theta: float, t: float, stream: RandomStream, size=None):
     """Tempered stable marginal for phi(s) = (s+theta)^beta - theta^beta."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0,1)")
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    out = _tempered_block(beta, theta, t, stream, size if size is not None else 1)
-    return float(out[0]) if size is None else out
+    return sample_subordinator(TemperedStable(beta, theta), t, stream, size)
 
 
 def sample_mixed(components, t: float, stream: RandomStream, size=None):
     """Sum of independent stable marginals, one per (beta_i, w_i) component."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    comps = tuple(components)
-    if not comps:
-        raise ValueError("need at least one component")
-    shape = size if size is not None else 1
-    out = np.zeros(shape, dtype=float)
-    for b, w in comps:
-        out += _stable_block(b, w * t, stream, shape)
-    return float(out[0]) if size is None else out
-
-
-def sample_subordinator(exp: LaplaceExponent, t: float, stream: RandomStream, size=None):
-    """Marginal D_t for any catalog exponent (dispatch over the family)."""
-    if isinstance(exp, Stable):
-        return sample_stable(exp.beta, t, stream, size)
-    if isinstance(exp, TemperedStable):
-        return sample_tempered(exp.beta, exp.theta, t, stream, size)
-    return sample_mixed(exp.components, t, stream, size)
+    return sample_subordinator(MixedStable(tuple(components)), t, stream, size)
 
 
 _STEP_GUARD = 10**9
@@ -306,13 +296,13 @@ def _refine_crossing(exp, gap, h, levels, stream, tries=_REFINE_TRIES):
     active = np.arange(n)
     g = gap.copy()
     hh = float(h)
-    theta = exp.theta if isinstance(exp, TemperedStable) else None
+    theta = exp.theta
     for _ in range(levels):
         if active.size == 0:
             break
         hh *= 0.5
         m = active.size
-        if isinstance(exp, TemperedStable):
+        if theta > 0.0:
             x1 = _stable_block(exp.beta, hh, stream, (m, tries))
             x2 = _stable_block(exp.beta, hh, stream, (m, tries))
             tot = x1 + x2
@@ -358,7 +348,7 @@ def _grid_inverse_block(exp, t, grid_step, refine, stream, n):
     steps_done = 0
     while alive.size:
         k = int(max(64, min(4096, 4_000_000 // alive.size)))
-        if isinstance(exp, TemperedStable):
+        if exp.theta > 0.0:
             k = max(1, min(k, int(0.5 / (h * exp.theta**exp.beta)) or 1))
         if steps_done + k > _STEP_GUARD:
             raise RunawaySamplerError(

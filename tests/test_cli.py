@@ -214,19 +214,56 @@ def test_exit_2_on_bad_ladder_flag():
 
 
 @pytest.mark.parametrize(
-    "flags,message",
+    "argv,message",
     [
-        (["--exponent", "tempered:0.75,1", "--t", "inf"], "t must be positive and finite"),
-        (["--t-ladder", "inf,1e-3"], "t must be positive and finite"),
-        (["--t", "1e-3", "--paths", "4096", "--workers", "0"], "workers must be at least 1"),
+        (["estimate", "--exponent", "tempered:0.75,1", "--t", "inf"], "t must be positive and finite"),
+        (["estimate", "--t-ladder", "inf,1e-3"], "t must be positive and finite"),
+        (["estimate", "--t", "1e-3", "--paths", "4096", "--workers", "0"], "workers must be at least 1"),
+        (
+            ["estimate", "--exponent", "tempered:0.75,inf", "--t", "1e-3", "--paths", "64"],
+            "tempering rate must be positive and finite",
+        ),
+        (
+            ["estimate", "--exponent", "mixed:0.25*inf+0.5", "--t", "1e-3", "--paths", "64"],
+            "mixed weight must be positive and finite",
+        ),
+        (["predict", "--exponent", "tempered:0.5,inf"], "tempering rate must be positive and finite"),
+        (["predict", "--domain", "interval:0,inf"], "interval needs a < b at finite distance"),
+        (["predict", "--domain", "interval:-1e308,1e308"], "interval needs a < b at finite distance"),
+        (["predict", "--domain", "disk:inf"], "radius must be positive and finite"),
+        (
+            ["estimate", "--exponent", "mixed:0.25*1e308+0.5", "--t", "1e-3", "--paths", "64"],
+            "OverflowError",
+        ),
+        (["verify", "--suite", "expansion-identity", "--workers", "0"], "workers must be at least 1"),
+        (["verify", "--suite", "moment-suite", "--quick", "--workers", "-3"], "workers must be at least 1"),
+        (["verify", "--suite", "expansion-identity", "--tolerance", "nan"], "tolerance must be"),
+        (["verify", "--suite", "expansion-identity", "--tolerance", "0"], "tolerance must be"),
     ],
-    ids=["t-inf", "ladder-inf", "workers-0"],
+    ids=[
+        "t-inf", "ladder-inf", "workers-0", "tempering-inf", "weight-inf", "predict-tempering-inf",
+        "interval-inf", "interval-overflow", "disk-inf", "weight-overflow", "verify-workers-0", "verify-workers-negative",
+        "tolerance-nan", "tolerance-zero",
+    ],
 )
-def test_exit_2_on_infinite_t_or_no_workers(flags, message, capsys):
-    assert main(["estimate", *flags]) == 2
+def test_exit_2_on_infinite_t_or_no_workers(argv, message, capsys):
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert message in err
+
+
+def test_rate_value_inverts_phi_on_stiff_mixed_ladder(capsys):
+    # rate_value is [phi_inverse(1/t)]^(-1/2); the 0.05 component stretches
+    # phi_inverse's bracket about 130 decades past the root at t = 1e-8
+    from subheat import parse_exponent, phi
+
+    argv = ["estimate", "--exponent", "mixed:0.05*10+0.9", "--t-ladder", "1e-4,1e-8"]
+    assert main([*argv, "--paths", "256", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    exp = parse_exponent("mixed:0.05*10+0.9")
+    for row in rows:
+        assert abs(phi(exp, row["rate_value"] ** -2.0) * row["t"] - 1.0) <= 1e-10
 
 
 def test_exit_3_on_unsupported_configuration(capsys):

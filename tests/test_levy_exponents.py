@@ -8,6 +8,7 @@ from scipy import integrate
 
 from subheat import (
     MixedStable,
+    RandomStream,
     Regime,
     Stable,
     TemperedStable,
@@ -19,6 +20,7 @@ from subheat import (
     phi_inverse,
     phi_prime,
     regime,
+    sample_subordinator,
 )
 
 CATALOG = [
@@ -31,11 +33,9 @@ CATALOG = [
     MixedStable(((0.2, 0.5), (0.35, 2.0), (0.6, 1.0))),
 ]
 
-
-def _component_indexes(exp):
-    if isinstance(exp, MixedStable):
-        return [(b, w) for b, w in exp.components]
-    return [(exp.beta, 1.0)]
+# a small index with a large weight: at y = 1e8 the bracket its component
+# gives phi_inverse ends about 130 decades beyond the root
+STIFF_MIXED = MixedStable(((0.05, 10.0), (0.9, 1.0)))
 
 
 def test_phi_closed_forms():
@@ -51,11 +51,41 @@ def test_phi_rejects_nonpositive_argument():
         phi(Stable(0.5), -1.0)
 
 
-@pytest.mark.parametrize("exp", CATALOG)
+@pytest.mark.parametrize("exp", CATALOG + [STIFF_MIXED])
 def test_phi_inverse_roundtrip(exp):
-    for y in np.geomspace(1e-6, 1e6, 25):
+    # phi itself cancels at small s for tempered exponents: (s+theta)^b - theta^b
+    rel = 1e-10 if isinstance(exp, TemperedStable) else 1e-12
+    for y in np.geomspace(1e-6, 1e10, 33):
         x = phi_inverse(exp, y)
-        assert phi(exp, x) == pytest.approx(y, rel=1e-10)
+        assert abs(phi(exp, x) / y - 1.0) <= rel
+
+
+@pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6])
+def test_tempered_phi_inverse_is_cancellation_free(y):
+    exp = TemperedStable(0.75, 1.0)
+    x = phi_inverse(exp, y)
+    # phi in cancellation-free form
+    back = exp.theta**exp.beta * math.expm1(exp.beta * math.log1p(x / exp.theta))
+    assert abs(back / y - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", sorted({b for exp in CATALOG for b, _ in exp.components}))
+def test_stable_is_a_one_component_mixture(beta):
+    stable, mixed = Stable(beta), MixedStable(((beta, 1.0),))
+    s = np.geomspace(1e-8, 1e12, 50)
+    for fn in (phi, phi_prime, levy_density, levy_tail):
+        assert fn(stable, s).tobytes() == fn(mixed, s).tobytes()
+    draws = [sample_subordinator(e, 1e-3, RandomStream(3), 1000).tobytes() for e in (stable, mixed)]
+    assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("exp", CATALOG)
+def test_every_family_exposes_components_and_theta(exp):
+    comps = exp.components
+    assert comps and all(0.0 < b < 1.0 and w > 0.0 for b, w in comps)
+    # theta is a field of the tempered family only, so reprs stay as they were
+    assert (exp.theta > 0.0) == ("theta" in repr(exp)) == isinstance(exp, TemperedStable)
+    assert leading_index(exp) == comps[-1][0]
 
 
 @pytest.mark.parametrize("exp", CATALOG)
@@ -69,7 +99,7 @@ def test_phi_matches_levy_integral(exp, s):
 
     # the tail mass decays like u^(-beta), so the upper cut must scale with
     # 1/beta for the smallest component index to clear the 1e-8 tolerance
-    v_hi = 60.0 / min(b for b, _ in _component_indexes(exp))
+    v_hi = 60.0 / min(b for b, _ in exp.components)
     lo, _ = integrate.quad(inner, -700.0, 0.0, limit=400)
     hi, _ = integrate.quad(inner, 0.0, v_hi, limit=400, points=[1.0, 10.0, 60.0])
     assert lo + hi == pytest.approx(phi(exp, s), rel=1e-8)
@@ -86,7 +116,7 @@ def test_phi_prime_matches_difference_quotient(exp):
 @pytest.mark.parametrize("exp", CATALOG)
 @pytest.mark.parametrize("delta", [0.05, 1.0, 4.0])
 def test_levy_tail_matches_density_quadrature(exp, delta):
-    v_hi = math.log(delta) + 60.0 / min(b for b, _ in _component_indexes(exp))
+    v_hi = math.log(delta) + 60.0 / min(b for b, _ in exp.components)
     val, _ = integrate.quad(
         lambda v: levy_density(exp, math.exp(v)) * math.exp(v),
         math.log(delta),
