@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn, gammainc
 
-from .heat_oracles import Disk, Interval, exact_H_interval, exact_Q_interval
+from .heat_oracles import Disk, Interval, exact_deficit_interval, exact_H_interval
 from .levy_exponents import (
     LaplaceExponent,
     Regime,
@@ -154,7 +154,7 @@ def lowindex_constant(exp, dom: Interval, quantity: str = "spectral", epsrel: fl
     L = dom.length
     if quantity == "spectral":
         kappa = 4.0 / math.sqrt(math.pi)
-        content = lambda u: dom.volume - exact_Q_interval(dom, u)
+        content = lambda u: exact_deficit_interval(dom, u)
     else:
         kappa = 2.0 / math.sqrt(math.pi)
         content = lambda u: exact_H_interval(dom, u)

@@ -40,6 +40,7 @@ from .estimators import (
 from .heat_oracles import (
     Disk,
     Interval,
+    exact_deficit_interval,
     exact_Q_interval,
     interval_survival_block,
     parse_domain,
@@ -250,6 +251,20 @@ def cmd_predict(cfg: RunConfig) -> str:
 _REGULAR_KEY_OFFSET = 2**40
 
 
+def _rate_at(pred, t) -> float:
+    """pred's rate at ladder time t; refuses t unless the rate is finite and nonzero."""
+    try:
+        rate = float(pred.rate_value(t)) if 0.0 < t < math.inf else math.nan
+    except (ArithmeticError, ValueError):
+        rate = math.nan
+    if not (math.isfinite(rate) and rate != 0.0):
+        raise ValueError(
+            f"t must be positive and finite, and the rate {pred.rate.label} finite and nonzero "
+            f"there; got t = {t:g}, rate {rate:g}"
+        )
+    return rate
+
+
 def cmd_estimate(cfg: RunConfig) -> str:
     exp = parse_exponent(cfg.exponent)
     dom = parse_domain(cfg.domain)
@@ -258,9 +273,10 @@ def cmd_estimate(cfg: RunConfig) -> str:
     rows = []
     pred_spec = predict_spectral(exp, dom, kind)
     pred_reg = predict_regular(exp, dom, kind) if isinstance(dom, Interval) else None
-    for t in cfg.ladder():
+    # every rung's rate first (the regular rate is the same function), so that a
+    # rung out of range fails before any estimate runs
+    for t, rate in [(t, _rate_at(pred_spec, t)) for t in cfg.ladder()]:
         est = _estimate_spectral(exp, dom, t, cfg.paths, base, kind, cfg.workers)
-        rate = float(pred_spec.rate_value(t))
         rows.append(
             ("spectral", t, est.value, est.stderr, rate, (dom.volume - est.value) / rate, est.n_paths)
         )
@@ -499,7 +515,7 @@ def _suite_oracle(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     diff = abs(q_lo - q_hi)
     out.append(_check("series-switch-continuity", 0.0, diff, 1e-12))
     u = 1e-10
-    deficit = _UNIT.volume - exact_Q_interval(_UNIT, u)
+    deficit = exact_deficit_interval(_UNIT, u)
     want = 4.0 / math.sqrt(math.pi)
     rel = abs(deficit / math.sqrt(u) - want) / want
     out.append(_check("short-time-constant", 0.0, rel, 1e-4))

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import samplers
-from .heat_oracles import Disk, Interval, _disk_content_kernel, exact_H_interval, exact_Q_interval
+from .heat_oracles import Disk, Interval, _disk_content_kernel, exact_deficit_interval, exact_H_interval
 from .levy_exponents import MixedStable, Regime, regime
 from .samplers import (  # BLOCK, Estimate and combine_blocks are re-exported
     BLOCK,
@@ -37,6 +37,9 @@ from .samplers import (  # BLOCK, Estimate and combine_blocks are re-exported
 )
 
 
+_LOG_RANGE = math.log(1e300)
+
+
 def _is_stable_draws(beta, t, L, n, stream):
     """Importance-sampled stable subordinator draws and their weights.
 
@@ -46,6 +49,13 @@ def _is_stable_draws(beta, t, L, n, stream):
     (up to u_cap = pi L^2 / 4, beyond which Q has decayed).
     """
     u_cap = np.pi * L * L / 4.0
+    log_scale = math.log(t) / beta
+    if max(abs(log_scale), abs(math.log(u_cap) - log_scale)) > _LOG_RANGE:
+        raise ValueError(
+            f"clock time {t:g} is out of range for importance sampling at index {beta:g}: "
+            f"the clock scale t^(1/b) = e^{log_scale:.0f} must lie within 1e300 of 1 and of "
+            f"the deficit's time scale pi L^2/4 = {u_cap:g}"
+        )
     s_cap = u_cap / t ** (1.0 / beta)
     A0 = (beta**beta * (1.0 - beta) ** (1.0 - beta)) ** (1.0 / (1.0 - beta))
     sig_b = np.sin(beta * np.pi) ** beta * np.sin((1.0 - beta) * np.pi) ** (1.0 - beta)
@@ -72,12 +82,12 @@ def _deficit_is_draws(exp, t, dom, n, stream):
     exponential tilt of the marginal density."""
     L = dom.length
     if isinstance(exp, MixedStable):
-        # Telescope the deficit over components: with partial sums
-        # S_j = D_1 + ... + D_j, write |Omega| - Q(S_N) as the sum over j of
-        # Q(S_{j-1}) - Q(S_{j-1} + D_j), importance-sample D_j only, and draw
+        # Telescope the deficit d = |Omega| - Q over components: with partial
+        # sums S_j = D_1 + ... + D_j, write d(S_N) as the sum over j of
+        # d(S_{j-1} + D_j) - d(S_{j-1}), importance-sample D_j only, and draw
         # S_{j-1} plainly with exact Kanter marginals.  Each increment is
         # nonnegative and pointwise below the weighted single-component
-        # deficit (Q is convex decreasing in the clock), so every term's
+        # deficit (d is concave increasing in the clock), so every term's
         # variance is dominated by ordinary single-component importance
         # sampling.  Multiplying the component weights instead degrades badly
         # once t is deep in the short-time regime.
@@ -85,9 +95,9 @@ def _deficit_is_draws(exp, t, dom, n, stream):
         s_prev = np.zeros(n)
         for i, (b, wt) in enumerate(exp.components):
             di, wi = _is_stable_draws(b, wt * t, L, n, stream.spawn(1 + 2 * i))
-            q_lo = exact_Q_interval(dom, s_prev)
-            q_hi = exact_Q_interval(dom, np.minimum(s_prev + di, 1e300))
-            out = out + (q_lo - q_hi) * wi
+            d_lo = exact_deficit_interval(dom, s_prev)
+            d_hi = exact_deficit_interval(dom, np.minimum(s_prev + di, 1e300))
+            out = out + (d_hi - d_lo) * wi
             if i + 1 < len(exp.components):
                 plain = samplers.sample_stable(b, wt * t, stream.spawn(2 + 2 * i), n)
                 s_prev = np.minimum(s_prev + plain, 1e300)
@@ -96,7 +106,7 @@ def _deficit_is_draws(exp, t, dom, n, stream):
     if exp.theta > 0.0:
         with np.errstate(under="ignore"):
             w = w * np.exp(-exp.theta * d + t * exp.theta**exp.beta)
-    return (dom.volume - exact_Q_interval(dom, d)) * w
+    return exact_deficit_interval(dom, d) * w
 
 
 def _spectral_kernel(args, stream, lo, size, n):
@@ -104,7 +114,7 @@ def _spectral_kernel(args, stream, lo, size, n):
     spec, dom, t, use_is = args
     if use_is:
         return _deficit_is_draws(spec.exponent, t, dom, size, stream)
-    return dom.volume - exact_Q_interval(dom, sample_clock(spec, t, stream, size))
+    return exact_deficit_interval(dom, sample_clock(spec, t, stream, size))
 
 
 def _regular_kernel(args, stream, lo, size, n):
@@ -151,29 +161,23 @@ def estimate_spectral_subordinate(exp, dom, t, n, stream, *, workers=1):
     return _estimate(_spectral_kernel, (spec, dom, t, use_is), n, stream, workers, deficit=True)
 
 
-def estimate_spectral_inverse(
-    exp, dom, t, n, stream, *, grid_step=None, refine_bisections=20, workers=1
-):
+def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1):
     """Spectral heat content under an inverse subordinator clock.
 
     The inverse clock is continuous, so the killed and time-changed-then-
     killed contents coincide and one estimator serves both.
     """
-    spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step, refine_bisections)
+    spec = TimeChangeSpec(exp, Kind.INVERSE)
     return _estimate(_spectral_kernel, (spec, dom, t, False), n, stream, workers, deficit=True)
 
 
-def estimate_regular(
-    exp, dom, t, n, stream, kind, *, grid_step=None, refine_bisections=20, workers=1
-):
+def estimate_regular(exp, dom, t, n, stream, kind, *, workers=1):
     """Regular heat content: expected heat mass in the complement at time t."""
-    spec = TimeChangeSpec(exp, Kind(kind), grid_step, refine_bisections)
+    spec = TimeChangeSpec(exp, Kind(kind))
     return _estimate(_regular_kernel, (spec, dom, t), n, stream, workers)
 
 
-def estimate_spectral_disk(
-    exp, dom, t, n, stream, kind, *, grid_step=None, refine_bisections=20, workers=1
-):
+def estimate_spectral_disk(exp, dom, t, n, stream, kind, *, workers=1):
     """Two-stage disk estimate: draw the clock, then one killed walk per clock."""
-    spec = TimeChangeSpec(exp, Kind(kind), grid_step, refine_bisections)
+    spec = TimeChangeSpec(exp, Kind(kind))
     return _estimate(_disk_kernel, (spec, dom, t), n, stream, workers, want=Disk)

@@ -1,9 +1,18 @@
 """Heat-content oracles for Brownian motion with generator Delta (variance 2t).
 
-Intervals get exact closed forms: an image (reflection) expansion for short
-times and the Dirichlet eigenfunction series for long times, switching at
-u = L^2/10 where both are converged far beyond double precision. The 2D disk
-gets an Euler walk with a Brownian-bridge boundary-crossing correction.
+Intervals get exact closed forms for the deficit L - Q(u), the quantity every
+small-time limit is about, so it never comes from a cancelling subtraction.
+Below the switch u = L^2/10 the image (reflection) expansion sums to
+
+    L - Q(u) = sigma (4 phi(0) - 8 r(a) + 8 r(2a) - 8 r(3a) + 8 r(4a)),
+
+with sigma = sqrt(2u), a = L/sigma and r(x) = phi(x) - x Phi(-x) for the
+standard normal density phi and distribution Phi; the r(5a) term is below
+1e-28 of the total there. Above it the Dirichlet eigenfunction series
+L - sum of 8L/(k pi)^2 e^(-(k pi/L)^2 u) over the odd modes k = 1, 3, 5, 7
+needs 4 modes, the next being below 1e-36 at the switch. The heat content Q
+is the complement. The 2D disk gets an Euler walk with a Brownian-bridge
+boundary-crossing correction.
 """
 
 from __future__ import annotations
@@ -19,7 +28,10 @@ from .levy_exponents import phi
 from .samplers import Estimate, RandomStream, run_blocks
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_EIGEN_K = np.arange(1.0, 42.0, 2.0)  # odd modes; terms beyond 41 underflow at the switch
+_EIGEN_K = np.array([1.0, 3.0, 5.0, 7.0])  # odd modes; mode 9 is below 1e-36 at the switch
+# domain sizes whose squares, inverse squares and squared contents stay far
+# inside double range, which the oracles and the second moments need
+_SIZE_RANGE = (1e-50, 1e50)
 
 
 @dataclass(frozen=True)
@@ -32,6 +44,8 @@ class Interval:
     def __post_init__(self):
         if not (self.a < self.b and math.isfinite(self.b - self.a)):
             raise ValueError(f"interval needs a < b at finite distance, got ({self.a}, {self.b})")
+        if not _SIZE_RANGE[0] <= self.length <= _SIZE_RANGE[1]:
+            raise ValueError(f"interval length must lie in {list(_SIZE_RANGE)}, got {self.length:g}")
 
     @property
     def length(self) -> float:
@@ -55,6 +69,8 @@ class Disk:
     def __post_init__(self):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
+        if not _SIZE_RANGE[0] <= self.radius <= _SIZE_RANGE[1]:
+            raise ValueError(f"disk radius must lie in {list(_SIZE_RANGE)}, got {self.radius:g}")
 
     @property
     def volume(self) -> float:
@@ -86,37 +102,44 @@ def parse_domain(text: str) -> Domain:
     raise ValueError(f"unknown domain kind {head!r}")
 
 
-def _j_antideriv(z):
-    """J(z) = z Phi(z) + phi(z); J'(z) = Phi(z). Building block of the image sum."""
-    return z * ndtr(z) + np.exp(-0.5 * z * z) / _SQRT_2PI
+def _r(x):
+    """r(x) = phi(x) - x Phi(-x), the Gaussian tail integrated twice; r(0) = phi(0)."""
+    return np.exp(-0.5 * x * x) / _SQRT_2PI - x * ndtr(-x)
 
 
-def exact_Q_interval(dom: Interval, u):
-    """Heat content under killing at the interval ends, exact for all u >= 0."""
+def exact_deficit_interval(dom: Interval, u):
+    """Heat lost by time u under killing at the interval ends, L - Q(u).
+
+    Exact for all u >= 0 and free of cancellation: at small u it is
+    4 sqrt(u/pi) to full relative precision down to u = 1e-300.
+    """
     scalar = np.isscalar(u) or np.asarray(u).ndim == 0
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < 0.0):
         raise ValueError("time must be nonnegative")
     L = dom.length
-    out = np.empty_like(u_arr)
-    zero = u_arr == 0.0
-    out[zero] = L
-    lo = (~zero) & (u_arr < L * L / 10.0)
+    out = np.zeros_like(u_arr)
+    lo = (u_arr > 0.0) & (u_arr < L * L / 10.0)
     if np.any(lo):
         sig = np.sqrt(2.0 * u_arr[lo])
-        tot = np.zeros_like(sig)
-        a = lambda k: k * L / sig
-        for m in range(-3, 4):
-            b1 = _j_antideriv(a(2 * m + 1)) - 2.0 * _j_antideriv(a(2 * m)) + _j_antideriv(a(2 * m - 1))
-            b2 = _j_antideriv(a(2 * m + 2)) - 2.0 * _j_antideriv(a(2 * m + 1)) + _j_antideriv(a(2 * m))
-            tot += b1 - b2
-        out[lo] = sig * tot
+        a = L / sig
+        images = _r(a) - _r(2.0 * a) + _r(3.0 * a) - _r(4.0 * a)
+        out[lo] = sig * (4.0 / _SQRT_2PI - 8.0 * images)
     hi = u_arr >= L * L / 10.0
     if np.any(hi):
         k = _EIGEN_K[:, None]
         terms = 8.0 * L / (k * np.pi) ** 2 * np.exp(-((k * np.pi / L) ** 2) * u_arr[hi][None, :])
-        out[hi] = terms.sum(axis=0)
+        out[hi] = L - terms.sum(axis=0)
     return float(out[0]) if scalar else out
+
+
+def exact_Q_interval(dom: Interval, u):
+    """Heat content under killing at the interval ends, exact for all u >= 0.
+
+    The complement of the deficit, so accurate to rounding of L in absolute
+    terms; read the deficit itself wherever L - Q is wanted.
+    """
+    return dom.length - exact_deficit_interval(dom, u)
 
 
 def exact_H_interval(dom: Interval, u):
@@ -134,9 +157,23 @@ def exact_H_interval(dom: Interval, u):
     out = np.zeros_like(u_arr)
     pos = u_arr > 0.0
     if np.any(pos):
-        sig = np.sqrt(2.0 * u_arr[pos])
-        a = L / sig
-        out[pos] = 2.0 * sig * (a * ndtr(-a) + 1.0 / _SQRT_2PI - np.exp(-0.5 * a * a) / _SQRT_2PI)
+        # in place, in the operation order of the closed form
+        sig = u_arr[pos]
+        sig *= 2.0
+        np.sqrt(sig, out=sig)
+        a = np.divide(L, sig)
+        val = np.negative(a)
+        ndtr(val, out=val)
+        val *= a
+        val += 1.0 / _SQRT_2PI
+        gauss = np.multiply(-0.5, a)
+        gauss *= a
+        np.exp(gauss, out=gauss)
+        gauss /= _SQRT_2PI
+        val -= gauss
+        sig *= 2.0
+        val *= sig
+        out[pos] = val
     return float(out[0]) if scalar else out
 
 

@@ -112,10 +112,18 @@ def _shaped_like(x, out):
 
 
 def phi(exp: LaplaceExponent, s):
-    """Laplace exponent at s > 0 (scalar or array)."""
+    """Laplace exponent at s > 0 (scalar or array).
+
+    A tempered term is w theta^b expm1(b log1p(s/theta)), which equals
+    w ((s + theta)^b - theta^b) without its cancellation at s << theta.
+    """
     th = exp.theta
-    x = _positive(s, "phi requires s > 0") + th
-    return _shaped_like(s, sum(w * (x**b - th**b) for b, w in exp.components))
+    x = _positive(s, "phi requires s > 0")
+    if th > 0.0:
+        terms = (w * th**b * np.expm1(b * np.log1p(x / th)) for b, w in exp.components)
+    else:
+        terms = (w * x**b for b, w in exp.components)
+    return _shaped_like(s, sum(terms))
 
 
 def phi_prime(exp: LaplaceExponent, s):

@@ -150,8 +150,8 @@ class TimeChangeSpec:
     refine_bisections: int = 20
 
     def __post_init__(self):
-        if self.grid_step is not None and not self.grid_step > 0.0:
-            raise ValueError("grid_step must be positive")
+        if self.grid_step is not None and not (self.grid_step > 0.0 and math.isfinite(self.grid_step)):
+            raise ValueError(f"grid_step must be positive and finite, got {self.grid_step}")
         if self.refine_bisections < 0:
             raise ValueError("refine_bisections must be nonnegative")
 
@@ -163,9 +163,21 @@ def kanter_angle(u, beta: float):
     raised to 1/(1-beta); S_1 = (A(U)/E)^((1-beta)/beta) for U uniform and E
     unit exponential (Kanter 1975).
     """
+    # in place on two work arrays: each fresh block-sized temporary costs the
+    # allocator a map and page faults, and the draws dominate the plain paths
     b = beta
-    num = np.sin(b * np.pi * u) ** b * np.sin((1.0 - b) * np.pi * u) ** (1.0 - b)
-    return (num / np.sin(np.pi * u)) ** (1.0 / (1.0 - b))
+    u = np.asarray(u, dtype=float)
+    num = np.multiply(b * np.pi, u, out=np.empty(u.shape))
+    np.sin(num, out=num)
+    num **= b
+    tmp = np.multiply((1.0 - b) * np.pi, u, out=np.empty(u.shape))
+    np.sin(tmp, out=tmp)
+    tmp **= 1.0 - b
+    num *= tmp
+    np.sin(np.multiply(np.pi, u, out=tmp), out=tmp)
+    num /= tmp
+    num **= 1.0 / (1.0 - b)
+    return num[()]
 
 
 def kanter_angle_tail(v, beta: float):
@@ -186,11 +198,16 @@ def kanter_angle_tail(v, beta: float):
 
 def _stable_block(beta: float, t: float, stream: RandomStream, shape):
     """iid S_t variates of the given shape via Kanter's representation."""
-    u = np.maximum(stream.uniforms(shape), _OPEN_EPS)
-    e = np.maximum(stream.exponentials(shape), 1e-300)
+    u = stream.uniforms(shape)
+    np.maximum(u, _OPEN_EPS, out=u)
+    e = stream.exponentials(shape)
+    np.maximum(e, 1e-300, out=e)
+    s = kanter_angle(u, beta)
     with np.errstate(over="ignore"):
-        s = t ** (1.0 / beta) * (kanter_angle(u, beta) / e) ** ((1.0 - beta) / beta)
-    return np.minimum(s, 1e300)
+        s /= e
+        s **= (1.0 - beta) / beta
+        s *= t ** (1.0 / beta)
+    return np.minimum(s, 1e300, out=s)
 
 
 def _tempered_block(beta: float, theta: float, t: float, stream: RandomStream, shape):

@@ -233,17 +233,24 @@ def test_exit_2_on_bad_ladder_flag():
         (["predict", "--domain", "disk:inf"], "radius must be positive and finite"),
         (
             ["estimate", "--exponent", "mixed:0.25*1e308+0.5", "--t", "1e-3", "--paths", "64"],
-            "OverflowError",
+            "clock time 1e+305 is out of range for importance sampling",
         ),
         (["verify", "--suite", "expansion-identity", "--workers", "0"], "workers must be at least 1"),
         (["verify", "--suite", "moment-suite", "--quick", "--workers", "-3"], "workers must be at least 1"),
         (["verify", "--suite", "expansion-identity", "--tolerance", "nan"], "tolerance must be"),
         (["verify", "--suite", "expansion-identity", "--tolerance", "0"], "tolerance must be"),
+        (["estimate", "--exponent", "stable:0.75", "--t", "1e-320", "--paths", "64"], "and the rate t^(0.666667) finite"),
+        (["estimate", "--t", "1e-3", "--domain", "interval:0,1e-300", "--paths", "64"], "interval length must lie in"),
+        (["estimate", "--t", "1e-3", "--domain", "disk:1e200", "--paths", "64"], "disk radius must lie in"),
+        (
+            ["estimate", "--exponent", "stable:0.25", "--t", "1e-100", "--paths", "64"],
+            "clock time 1e-100 is out of range for importance sampling",
+        ),
     ],
     ids=[
         "t-inf", "ladder-inf", "workers-0", "tempering-inf", "weight-inf", "predict-tempering-inf",
         "interval-inf", "interval-overflow", "disk-inf", "weight-overflow", "verify-workers-0", "verify-workers-negative",
-        "tolerance-nan", "tolerance-zero",
+        "tolerance-nan", "tolerance-zero", "t-subnormal", "interval-tiny", "disk-huge", "is-clock-underflow",
     ],
 )
 def test_exit_2_on_infinite_t_or_no_workers(argv, message, capsys):

@@ -12,8 +12,10 @@ from subheat import (
     RandomStream,
     Stable,
     TemperedStable,
+    exact_deficit_interval,
     exact_H_interval,
     exact_Q_interval,
+    kanter_angle,
     parse_domain,
     subordinate_deficit_series,
 )
@@ -88,6 +90,37 @@ def test_exact_q_short_time_expansion():
     for u in (1e-8, 1e-10):
         deficit = dom.volume - exact_Q_interval(dom, u)
         assert deficit == pytest.approx(4.0 * math.sqrt(u / math.pi), rel=1e-6)
+
+
+def test_exact_deficit_is_cancellation_free():
+    # on (0, 1) the image terms are below 1e-100 of 4 sqrt(u/pi) for u <= 1e-3,
+    # so the deficit must match it to rounding; 1 - Q(u) is rounding noise
+    # there once u is below about 1e-30
+    u = np.geomspace(1e-300, 1e-3, 400)
+    rel = exact_deficit_interval(UNIT, u) / (4.0 * np.sqrt(u / math.pi)) - 1.0
+    assert np.max(np.abs(rel)) <= 1e-15
+    assert exact_deficit_interval(UNIT, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        exact_deficit_interval(UNIT, -1e-9)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda u: kanter_angle(u, 0.3),
+        lambda u: exact_H_interval(UNIT, u),
+        lambda u: exact_deficit_interval(UNIT, u),
+    ],
+    ids=["kanter_angle", "exact_H_interval", "exact_deficit_interval"],
+)
+def test_oracles_leave_inputs_alone_and_take_scalars(fn):
+    u = np.concatenate([np.geomspace(1e-9, 0.099, 50), np.linspace(0.1, 0.9, 50)])
+    before = u.copy()
+    vec = fn(u)
+    assert np.array_equal(u, before)
+    for x, v in zip(u[::7], vec[::7]):
+        got = fn(float(x))
+        assert np.ndim(got) == 0 and got == v
 
 
 def test_exact_h_closed_form_against_mc():

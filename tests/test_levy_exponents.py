@@ -53,11 +53,18 @@ def test_phi_rejects_nonpositive_argument():
 
 @pytest.mark.parametrize("exp", CATALOG + [STIFF_MIXED])
 def test_phi_inverse_roundtrip(exp):
-    # phi itself cancels at small s for tempered exponents: (s+theta)^b - theta^b
-    rel = 1e-10 if isinstance(exp, TemperedStable) else 1e-12
     for y in np.geomspace(1e-6, 1e10, 33):
         x = phi_inverse(exp, y)
-        assert abs(phi(exp, x) / y - 1.0) <= rel
+        assert abs(phi(exp, x) / y - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6])
+def test_tempered_phi_is_cancellation_free(s):
+    # (s + theta)^b - theta^b loses about log10(theta / s) digits at s << theta
+    exp = TemperedStable(0.75, 1.0)
+    ref = exp.theta**exp.beta * math.expm1(exp.beta * math.log1p(s / exp.theta))
+    assert abs(phi(exp, s) / ref - 1.0) <= 1e-13
+    assert abs(phi(exp, np.array([s]))[0] / ref - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6])

@@ -182,5 +182,8 @@ def test_inverse_runaway_guard():
 def test_time_change_spec_validation():
     with pytest.raises(ValueError):
         TimeChangeSpec(Stable(0.5), Kind.INVERSE, grid_step=-1.0)
+    for step in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+            TimeChangeSpec(Stable(0.5), Kind.INVERSE, grid_step=step)
     spec = TimeChangeSpec(Stable(0.5), Kind.SUBORDINATOR)
     assert spec.exponent == Stable(0.5)
