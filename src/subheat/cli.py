@@ -219,8 +219,7 @@ def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000
     n = n0
     while True:
         est = _estimate_spectral(exp, dom, t, n, stream, kind, workers)
-        deficit = dom.volume - est.value
-        if est.stderr <= rel_target * deficit or n >= n_max:
+        if est.stderr <= rel_target * est.deficit or n >= n_max:
             return est
         n *= 2
 
@@ -252,14 +251,14 @@ _REGULAR_KEY_OFFSET = 2**40
 
 
 def _rate_at(pred, t) -> float:
-    """pred's rate at ladder time t; refuses t unless the rate is finite and nonzero."""
+    """pred's rate at ladder time t; refuses t unless the rate is finite and positive."""
     try:
         rate = float(pred.rate_value(t)) if 0.0 < t < math.inf else math.nan
     except (ArithmeticError, ValueError):
         rate = math.nan
-    if not (math.isfinite(rate) and rate != 0.0):
+    if not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(
-            f"t must be positive and finite, and the rate {pred.rate.label} finite and nonzero "
+            f"t must be positive and finite, and the rate {pred.rate.label} finite and positive "
             f"there; got t = {t:g}, rate {rate:g}"
         )
     return rate
@@ -271,23 +270,15 @@ def cmd_estimate(cfg: RunConfig) -> str:
     kind = Kind(cfg.time_change)
     base = RandomStream(cfg.seed)
     rows = []
-    pred_spec = predict_spectral(exp, dom, kind)
-    pred_reg = predict_regular(exp, dom, kind) if isinstance(dom, Interval) else None
-    # every rung's rate first (the regular rate is the same function), so that a
-    # rung out of range fails before any estimate runs
-    for t, rate in [(t, _rate_at(pred_spec, t)) for t in cfg.ladder()]:
-        est = _estimate_spectral(exp, dom, t, cfg.paths, base, kind, cfg.workers)
-        rows.append(
-            ("spectral", t, est.value, est.stderr, rate, (dom.volume - est.value) / rate, est.n_paths)
-        )
-        if pred_reg is not None:
-            est_r = estimate_regular(
-                exp, dom, t, cfg.paths, base.spawn(_REGULAR_KEY_OFFSET), kind, workers=cfg.workers
-            )
-            rate_r = float(pred_reg.rate_value(t))
-            rows.append(
-                ("regular", t, est_r.value, est_r.stderr, rate_r, est_r.value / rate_r, est_r.n_paths)
-            )
+    pred = predict_spectral(exp, dom, kind)
+    # the regular prediction's rate is the same function; every rung's rate
+    # comes first, so that a rung out of range fails before any estimate runs
+    for t, rate in [(t, _rate_at(pred, t)) for t in cfg.ladder()]:
+        ests = [("spectral", _estimate_spectral(exp, dom, t, cfg.paths, base, kind, cfg.workers))]
+        if isinstance(dom, Interval):
+            reg = base.spawn(_REGULAR_KEY_OFFSET)
+            ests.append(("regular", estimate_regular(exp, dom, t, cfg.paths, reg, kind, workers=cfg.workers)))
+        rows += [(q, t, e.value, e.stderr, rate, e.deficit / rate, e.n_paths) for q, e in ests]
     if cfg.fmt == "json":
         payload = [
             {
@@ -326,11 +317,11 @@ def _check(name, target, achieved, tol):
     return CheckResult(name, target, achieved, tol, abs(achieved - target) <= tol)
 
 
-def _ratio_check(name, est, dom, rate, target, rel_tol, extra_tol_se=4.0):
-    deficit = dom.volume - est.value
-    achieved = deficit / rate
-    tol = max(extra_tol_se * est.stderr / rate, rel_tol * abs(target))
-    return _check(name, target, achieved, tol)
+def _ratio_check(name, est, pred, t, rel_tol, extra_tol_se=4.0):
+    # the heat lost at t over pred's rate, against pred's constant
+    rate = float(pred.rate_value(t))
+    tol = max(extra_tol_se * est.stderr / rate, rel_tol * abs(pred.constant))
+    return _check(name, pred.constant, est.deficit / rate, tol)
 
 
 def _sample_mean_check(name, x, target):
@@ -345,7 +336,7 @@ def _suite_highindex(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     pred = predict_spectral(exp, _UNIT, Kind.SUBORDINATOR)
     est = estimate_spectral_subordinate(exp, _UNIT, t, n, _suite_stream(cfg, 1), workers=cfg.workers)
     rel = cfg.tolerance if cfg.tolerance is not None else 0.03
-    return [_ratio_check("highindex-ratio", est, _UNIT, float(pred.rate_value(t)), pred.constant, rel)]
+    return [_ratio_check("highindex-ratio", est, pred, t, rel)]
 
 
 def _critical_ladder(cfg, exp, n, tag):
@@ -359,7 +350,7 @@ def _critical_ladder(cfg, exp, n, tag):
     ladder = (1e-6, 1e-8, 1e-10)
     for t in ladder:
         est = estimate_spectral_subordinate(exp, _UNIT, t, n, stream, workers=cfg.workers)
-        samples.append((t, _UNIT.volume - est.value, est.stderr))
+        samples.append((t, est.deficit, est.stderr))
     rel = cfg.tolerance if cfg.tolerance is not None else 0.10
     fit = fit_rate(samples, pred, rel)
     monotone = all(a > b for a, b in zip(fit.ratios, fit.ratios[1:]))
@@ -397,7 +388,7 @@ def _suite_lowindex(cfg: RunConfig, quick: bool) -> list[CheckResult]:
         rel_target=0.005, n0=n0, n_max=2 * n0, workers=cfg.workers,
     )
     rel = cfg.tolerance if cfg.tolerance is not None else 0.02
-    return [_ratio_check("lowindex-ratio", est, _UNIT, t, pred.constant, rel)]
+    return [_ratio_check("lowindex-ratio", est, pred, t, rel)]
 
 
 def _suite_inverse(cfg: RunConfig, quick: bool) -> list[CheckResult]:
@@ -407,20 +398,11 @@ def _suite_inverse(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     out = []
     stream = _suite_stream(cfg, 5)
     for i, beta in enumerate((0.25, 0.5, 0.75)):
-        exp = Stable(beta)
-        pred = predict_spectral(exp, _UNIT, Kind.INVERSE)
-        est = estimate_spectral_inverse(exp, _UNIT, t, n, stream.spawn(i * 2**20), workers=cfg.workers)
-        out.append(
-            _ratio_check(f"inverse-spectral-b{beta:g}", est, _UNIT, float(pred.rate_value(t)), pred.constant, rel)
-        )
-        pred_r = predict_regular(exp, _UNIT, Kind.INVERSE)
-        est_r = estimate_regular(
-            exp, _UNIT, t, n, stream.spawn(i * 2**20 + 2**19), Kind.INVERSE, workers=cfg.workers
-        )
-        rate_r = float(pred_r.rate_value(t))
-        achieved = est_r.value / rate_r
-        tol = max(4.0 * est_r.stderr / rate_r, rel * pred_r.constant)
-        out.append(_check(f"inverse-regular-b{beta:g}", pred_r.constant, achieved, tol))
+        exp, key = Stable(beta), stream.spawn(i * 2**20)
+        est = estimate_spectral_inverse(exp, _UNIT, t, n, key, workers=cfg.workers)
+        out.append(_ratio_check(f"inverse-spectral-b{beta:g}", est, predict_spectral(exp, _UNIT, Kind.INVERSE), t, rel))
+        est = estimate_regular(exp, _UNIT, t, n, key.spawn(2**19), Kind.INVERSE, workers=cfg.workers)
+        out.append(_ratio_check(f"inverse-regular-b{beta:g}", est, predict_regular(exp, _UNIT, Kind.INVERSE), t, rel))
     return out
 
 
@@ -429,12 +411,9 @@ def _suite_inverse_universality(cfg: RunConfig, quick: bool) -> list[CheckResult
     t = 1e-5
     n = 512 if quick else 2048
     pred = predict_spectral(exp, _UNIT, Kind.INVERSE)
-    est = estimate_spectral_inverse(
-        exp, _UNIT, t, n, _suite_stream(cfg, 6), workers=cfg.workers
-    )
+    est = estimate_spectral_inverse(exp, _UNIT, t, n, _suite_stream(cfg, 6), workers=cfg.workers)
     rel = cfg.tolerance if cfg.tolerance is not None else 0.05
-    rate = float(pred.rate_value(t))
-    return [_ratio_check("universality-ratio", est, _UNIT, rate, pred.constant, rel, extra_tol_se=0.0)]
+    return [_ratio_check("universality-ratio", est, pred, t, rel, extra_tol_se=0.0)]
 
 
 def _suite_expansion(cfg: RunConfig, quick: bool) -> list[CheckResult]:

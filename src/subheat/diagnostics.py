@@ -20,7 +20,6 @@ from .levy_exponents import Stable, leading_index, levy_density, phi
 from .samplers import BLOCK, Kind, RandomStream, TimeChangeSpec, run_blocks
 
 _LEVY_IS_CAP = 60.0  # clock coverage for importance sampling; e^-x test factors are dead beyond this
-_LEVY_IS_LREF = 2.0 * math.sqrt(_LEVY_IS_CAP / math.pi)
 
 
 class HypothesisViolationError(ValueError):
@@ -90,7 +89,7 @@ def _levy_integral(exp, f) -> float:
 def _levy_kernel(args, stream, lo, size, n):
     exp, f, t, use_is = args
     if use_is:
-        d, w = _is_stable_draws(exp.beta, t, _LEVY_IS_LREF, size, stream)
+        d, w = _is_stable_draws(exp.beta, t, _LEVY_IS_CAP, size, stream)
         return f(d) * w / t
     return f(samplers.sample_subordinator(exp, t, stream, size)) / t
 
@@ -98,6 +97,15 @@ def _levy_kernel(args, stream, lo, size, n):
 def _small_ball_kernel(args, stream, lo, size, n):
     exp, delta, t = args
     return (samplers.sample_subordinator(exp, delta, stream, size) <= t).astype(float)
+
+
+def _small_ball_stable_kernel(args, stream, lo, size, n):
+    # P(S_delta <= t) = E[exp(-lam A(U))] over the Kanter angle A(U), exact in
+    # the exponential variate, so no exceedance counts are needed; A(U) >=
+    # A(0+), so the values times e^(lam A(0+)) lie in (0, 1] however rare the event
+    beta, lam = args
+    u = np.maximum(stream.uniforms(size), 2.0**-54)
+    return np.exp(-lam * (samplers.kanter_angle(u, beta) - samplers.kanter_angle_min(beta)))
 
 
 def _inverse_moment_kernel(args, stream, lo, size, n):
@@ -151,38 +159,26 @@ def check_small_ball(exp, delta: float, t_ladder, n: int, stream: RandomStream) 
     beta = leading_index(exp)
     target = beta / (1.0 - beta)
     points = []
-    if isinstance(exp, Stable):
-        # smooth estimator: P(S_delta <= t) = E[exp(-A(U) lam)] over the Kanter
-        # angle A(U), exact in the exponential variate, so no exceedance counts
-        # are needed and the ladder can go far into the rare-event range
-        for t in ts:
+    for t in ts:
+        # the mean is P(D_delta <= t) e^shift
+        if isinstance(exp, Stable):
             lam = (t * delta ** (-1.0 / beta)) ** (-beta / (1.0 - beta))
-            acc = []
-            for lo in range(0, n, BLOCK):
-                size = min(BLOCK, n - lo)
-                u = np.maximum(stream.spawn(lo).uniforms(size), 2.0**-54)
-                a = samplers.kanter_angle(u, beta)
-                acc.append(-lam * a)
-            loga = np.concatenate(acc)
-            shift = loga.max()
-            draws = np.exp(loga - shift)
-            p_shift = draws.mean()
-            se_shift = draws.std(ddof=1) / math.sqrt(n)
-            neg_log_p = -(shift + math.log(p_shift))
-            points.append((t, neg_log_p, se_shift / p_shift))
-    else:
-        for t in ts:
+            shift = lam * samplers.kanter_angle_min(beta)
+            mean, se = run_blocks(_small_ball_stable_kernel, (beta, lam), n, stream)
+        else:
+            shift = 0.0
             mean, se = run_blocks(_small_ball_kernel, (exp, delta, t), n, stream)
-            if mean == 0.0:
-                raise LadderTooDeepError(
-                    f"no path reached D_delta <= {t:g} out of {n}; raise the ladder or n"
-                )
-            if mean >= 1.0:
-                raise ValueError(
-                    f"P(D_delta <= {t:g}) is estimated at 1; the ladder point is not "
-                    "in the decay regime"
-                )
-            points.append((t, -math.log(mean), se / mean))
+        if mean == 0.0:
+            raise LadderTooDeepError(
+                f"no path reached D_delta <= {t:g} out of {n}; raise the ladder or n"
+            )
+        neg_log_p = shift - math.log(mean)
+        if neg_log_p <= 0.0:
+            raise ValueError(
+                f"P(D_delta <= {t:g}) is estimated at 1; the ladder point is not "
+                "in the decay regime"
+            )
+        points.append((t, neg_log_p, se / mean))
     xs = np.array([math.log(1.0 / t) for t, _, _ in points])
     ys = np.array([math.log(stat) for _, stat, _ in points])
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -1,18 +1,17 @@
 """Monte Carlo estimators of spectral and regular heat contents.
 
 All one-dimensional estimation is Rao-Blackwellized: a path of the time change
-is drawn, then the exact interval heat content at that clock value replaces
-the Brownian indicator. Deep-time subordinator runs (leading index <= 1/2)
-additionally use importance sampling on the Kanter representation, because
-plain draws almost never land in the region where the deficit |Omega| - Q is
-nonzero once t is of order 1e-8.
+is drawn, then the exact interval heat lost at that clock value replaces the
+Brownian indicator. Deep-time subordinator runs (leading index <= 1/2)
+additionally use importance sampling on the Kanter representation while the
+deficit |Omega| - Q is a rare event of the clock, because plain draws almost
+never land where it is nonzero once t is of order 1e-8.
 
 Each estimator is a block kernel, a few lines that turn one block's clock
-draws into per-path values, run by the block engine samplers.run_blocks: one
-counter-based stream per block of BLOCK paths, block moments combined by a
+draws into the heat lost per path, run by the block engine samplers.run_blocks:
+one counter-based stream per block of BLOCK paths, block moments combined by a
 pairwise tree in block order, so estimates are bit-identical for any worker
-count. Estimate, BLOCK and combine_blocks live next to the engine and are
-re-exported here.
+count. _estimate is the one place where the mean heat lost becomes a content.
 """
 
 from __future__ import annotations
@@ -23,15 +22,13 @@ import time
 import numpy as np
 
 from . import samplers
-from .heat_oracles import Disk, Interval, _disk_content_kernel, exact_deficit_interval, exact_H_interval
+from .heat_oracles import Disk, Interval, disk_survival_block, exact_deficit_interval, exact_H_interval
 from .levy_exponents import MixedStable, Regime, regime
-from .samplers import (  # BLOCK, Estimate and combine_blocks are re-exported
-    BLOCK,
+from .samplers import (
     Estimate,
     Kind,
     TimeChangeSpec,
     UnsupportedConfigurationError,
-    combine_blocks,
     run_blocks,
     sample_clock,
 )
@@ -40,15 +37,13 @@ from .samplers import (  # BLOCK, Estimate and combine_blocks are re-exported
 _LOG_RANGE = math.log(1e300)
 
 
-def _is_stable_draws(beta, t, L, n, stream):
-    """Importance-sampled stable subordinator draws and their weights.
+def _is_saturation(beta, t, u_cap):
+    """(s_cap, e_sat) of a beta-stable clock at time t against the clock value u_cap.
 
-    Proposals are log-uniform in the Kanter angle complement v = 1 - u and in
-    the exponential variate e, tuned so the draws cover the full range of
-    clock values u where the interval deficit L - Q(u) is appreciably nonzero
-    (up to u_cap = pi L^2 / 4, beyond which Q has decayed).
+    In Kanter form D_t = t^(1/b) (A/e)^((1-b)/b) passes u_cap = s_cap t^(1/b)
+    only for e below e_sat = A(0+) s_cap^(-b/(1-b)) or so: a rare event, which
+    the importance proposal targets, while e_sat < 1.
     """
-    u_cap = np.pi * L * L / 4.0
     log_scale = math.log(t) / beta
     if max(abs(log_scale), abs(math.log(u_cap) - log_scale)) > _LOG_RANGE:
         raise ValueError(
@@ -57,9 +52,19 @@ def _is_stable_draws(beta, t, L, n, stream):
             f"the deficit's time scale pi L^2/4 = {u_cap:g}"
         )
     s_cap = u_cap / t ** (1.0 / beta)
-    A0 = (beta**beta * (1.0 - beta) ** (1.0 - beta)) ** (1.0 / (1.0 - beta))
+    return s_cap, samplers.kanter_angle_min(beta) * s_cap ** (-beta / (1.0 - beta))
+
+
+def _is_stable_draws(beta, t, u_cap, n, stream):
+    """Importance-sampled stable subordinator draws and their weights.
+
+    Proposals are log-uniform in the Kanter angle complement v = 1 - u and in
+    the exponential variate e, tuned so the draws cover the full range of
+    clock values u up to u_cap; for the interval deficit L - Q(u) that is
+    pi L^2 / 4, beyond which Q has decayed.
+    """
+    s_cap, e_sat = _is_saturation(beta, t, u_cap)
     sig_b = np.sin(beta * np.pi) ** beta * np.sin((1.0 - beta) * np.pi) ** (1.0 - beta)
-    e_sat = A0 * s_cap ** (-beta / (1.0 - beta))
     e_min = max(e_sat * 1e-6, 1e-300)
     e_max = 50.0
     A_need = s_cap ** (beta / (1.0 - beta)) * e_max
@@ -76,11 +81,10 @@ def _is_stable_draws(beta, t, L, n, stream):
     return d, w
 
 
-def _deficit_is_draws(exp, t, dom, n, stream):
+def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
     """Weighted draws of the spectral deficit |Omega| - Q(D_t) via importance
     sampling; tempered exponents ride the stable proposal through an exact
     exponential tilt of the marginal density."""
-    L = dom.length
     if isinstance(exp, MixedStable):
         # Telescope the deficit d = |Omega| - Q over components: with partial
         # sums S_j = D_1 + ... + D_j, write d(S_N) as the sum over j of
@@ -94,7 +98,7 @@ def _deficit_is_draws(exp, t, dom, n, stream):
         out = np.zeros(n)
         s_prev = np.zeros(n)
         for i, (b, wt) in enumerate(exp.components):
-            di, wi = _is_stable_draws(b, wt * t, L, n, stream.spawn(1 + 2 * i))
+            di, wi = _is_stable_draws(b, wt * t, u_cap, n, stream.spawn(1 + 2 * i))
             d_lo = exact_deficit_interval(dom, s_prev)
             d_hi = exact_deficit_interval(dom, np.minimum(s_prev + di, 1e300))
             out = out + (d_hi - d_lo) * wi
@@ -102,7 +106,7 @@ def _deficit_is_draws(exp, t, dom, n, stream):
                 plain = samplers.sample_stable(b, wt * t, stream.spawn(2 + 2 * i), n)
                 s_prev = np.minimum(s_prev + plain, 1e300)
         return out
-    d, w = _is_stable_draws(exp.beta, t, L, n, stream)
+    d, w = _is_stable_draws(exp.beta, t, u_cap, n, stream)
     if exp.theta > 0.0:
         with np.errstate(under="ignore"):
             w = w * np.exp(-exp.theta * d + t * exp.theta**exp.beta)
@@ -110,10 +114,18 @@ def _deficit_is_draws(exp, t, dom, n, stream):
 
 
 def _spectral_kernel(args, stream, lo, size, n):
-    # both branches return deficit draws |Omega| - Q
-    spec, dom, t, use_is = args
-    if use_is:
-        return _deficit_is_draws(spec.exponent, t, dom, size, stream)
+    # both branches return deficit draws |Omega| - Q; a subordinator of
+    # leading index <= 1/2 is importance-sampled while the deficit is a rare
+    # event for every component
+    spec, dom, t = args
+    exp = spec.exponent
+    u_cap = np.pi * dom.length * dom.length / 4.0
+    if (
+        spec.kind is Kind.SUBORDINATOR
+        and regime(exp) is not Regime.HIGH_INDEX
+        and all(_is_saturation(b, w * t, u_cap)[1] < 1.0 for b, w in exp.components)
+    ):
+        return _deficit_is_draws(exp, t, dom, u_cap, size, stream)
     return exact_deficit_interval(dom, sample_clock(spec, t, stream, size))
 
 
@@ -124,14 +136,17 @@ def _regular_kernel(args, stream, lo, size, n):
 
 def _disk_kernel(args, stream, lo, size, n):
     spec, dom, t = args
-    return _disk_content_kernel((dom, sample_clock(spec, t, stream, size)), stream, lo, size, n)
+    u = sample_clock(spec, t, stream, size)
+    surv = disk_survival_block(dom.radius, u, stream, strat_index=lo, strat_total=n, n=size)
+    return dom.volume * (1.0 - surv)
 
 
-def _estimate(kernel, args, n, stream, workers, *, want=Interval, deficit=False):
+def _estimate(kernel, args, n, stream, workers, *, want=Interval, content=True):
     """Run kernel, whose args start with (spec, dom, t), over n paths.
 
-    A deficit kernel's mean is subtracted from |Omega|; the content is then
-    clamped to the physical range [0, |Omega|].
+    Every kernel returns the heat lost per path. Its mean, clamped to the
+    physical range [0, |Omega|], is the estimate's deficit; a content row's
+    value is |Omega| minus it, a regular row's value the deficit itself.
     """
     _, dom, t = args[:3]
     if not isinstance(dom, want):
@@ -145,20 +160,20 @@ def _estimate(kernel, args, n, stream, workers, *, want=Interval, deficit=False)
         raise ValueError("need at least 2 paths")
     start = time.perf_counter()
     mean, se = run_blocks(kernel, args, n, stream, workers)
-    value = dom.volume - mean if deficit else mean
-    value = min(max(value, 0.0), dom.volume)
-    return Estimate(value, se, n, stream.seed, time.perf_counter() - start)
+    deficit = min(max(mean, 0.0), dom.volume)
+    value = dom.volume - deficit if content else deficit
+    return Estimate(value, deficit, se, n, stream.seed, time.perf_counter() - start)
 
 
 def estimate_spectral_subordinate(exp, dom, t, n, stream, *, workers=1):
     """Spectral heat content of Brownian motion subordinated by exp at time t.
 
     Conditioning on the clock D_t reduces each path to the exact interval heat
-    content Q(D_t); deep-time low-index runs switch to importance sampling.
+    lost |Omega| - Q(D_t); deep-time low-index runs switch to importance
+    sampling.
     """
     spec = TimeChangeSpec(exp, Kind.SUBORDINATOR)
-    use_is = regime(exp) is not Regime.HIGH_INDEX
-    return _estimate(_spectral_kernel, (spec, dom, t, use_is), n, stream, workers, deficit=True)
+    return _estimate(_spectral_kernel, (spec, dom, t), n, stream, workers)
 
 
 def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1):
@@ -168,13 +183,13 @@ def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1):
     killed contents coincide and one estimator serves both.
     """
     spec = TimeChangeSpec(exp, Kind.INVERSE)
-    return _estimate(_spectral_kernel, (spec, dom, t, False), n, stream, workers, deficit=True)
+    return _estimate(_spectral_kernel, (spec, dom, t), n, stream, workers)
 
 
 def estimate_regular(exp, dom, t, n, stream, kind, *, workers=1):
     """Regular heat content: expected heat mass in the complement at time t."""
     spec = TimeChangeSpec(exp, Kind(kind))
-    return _estimate(_regular_kernel, (spec, dom, t), n, stream, workers)
+    return _estimate(_regular_kernel, (spec, dom, t), n, stream, workers, content=False)
 
 
 def estimate_spectral_disk(exp, dom, t, n, stream, kind, *, workers=1):

@@ -287,4 +287,4 @@ def mc_Q_disk(dom: Disk, u: float, n_paths: int, stream: RandomStream):
         raise ValueError("time must be positive")
     start = time.perf_counter()
     value, stderr = run_blocks(_disk_content_kernel, (dom, u), n_paths, stream)
-    return Estimate(value, stderr, n_paths, stream.seed, time.perf_counter() - start)
+    return Estimate(value, dom.volume - value, stderr, n_paths, stream.seed, time.perf_counter() - start)

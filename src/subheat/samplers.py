@@ -72,7 +72,12 @@ class RandomStream:
 
 @dataclass(frozen=True)
 class Estimate:
+    """A Monte Carlo heat content or heat mass, and the heat lost by time t,
+    which every small-time rate divides: |Omega| - value for a content, value
+    itself for a regular heat mass H."""
+
     value: float
+    deficit: float
     stderr: float
     n_paths: int
     seed: int
@@ -178,6 +183,11 @@ def kanter_angle(u, beta: float):
     num /= tmp
     num **= 1.0 / (1.0 - b)
     return num[()]
+
+
+def kanter_angle_min(beta: float) -> float:
+    """A(0+) = (beta^beta (1-beta)^(1-beta))^(1/(1-beta)), the infimum of A on (0,1)."""
+    return (beta**beta * (1.0 - beta) ** (1.0 - beta)) ** (1.0 / (1.0 - beta))
 
 
 def kanter_angle_tail(v, beta: float):
@@ -319,15 +329,12 @@ def _refine_crossing(exp, gap, h, levels, stream, tries=_REFINE_TRIES):
             break
         hh *= 0.5
         m = active.size
+        x1 = _stable_sum_block(exp.components, hh, stream, (m, tries))
+        x2 = _stable_sum_block(exp.components, hh, stream, (m, tries))
+        tot = x1 + x2
+        ok = tot > g[active, None]
         if theta > 0.0:
-            x1 = _stable_block(exp.beta, hh, stream, (m, tries))
-            x2 = _stable_block(exp.beta, hh, stream, (m, tries))
-            tot = x1 + x2
-            ok = (tot > g[active, None]) & (stream.uniforms((m, tries)) <= np.exp(-theta * tot))
-        else:
-            x1 = _increment_block(exp, hh, stream, (m, tries))
-            x2 = _increment_block(exp, hh, stream, (m, tries))
-            ok = x1 + x2 > g[active, None]
+            ok &= stream.uniforms((m, tries)) <= np.exp(-theta * tot)
         hit = ok.any(axis=1)
         first = np.argmax(ok, axis=1)
         x1_sel = x1[np.arange(m), first]

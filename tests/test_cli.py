@@ -246,11 +246,13 @@ def test_exit_2_on_bad_ladder_flag():
             ["estimate", "--exponent", "stable:0.25", "--t", "1e-100", "--paths", "64"],
             "clock time 1e-100 is out of range for importance sampling",
         ),
+        (["estimate", "--t", "2e4", "--paths", "64"], "and the rate t*log(1/t) finite and positive"),
     ],
     ids=[
         "t-inf", "ladder-inf", "workers-0", "tempering-inf", "weight-inf", "predict-tempering-inf",
         "interval-inf", "interval-overflow", "disk-inf", "weight-overflow", "verify-workers-0", "verify-workers-negative",
         "tolerance-nan", "tolerance-zero", "t-subnormal", "interval-tiny", "disk-huge", "is-clock-underflow",
+        "rate-negative",
     ],
 )
 def test_exit_2_on_infinite_t_or_no_workers(argv, message, capsys):
@@ -258,6 +260,16 @@ def test_exit_2_on_infinite_t_or_no_workers(argv, message, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert message in err
+
+
+def test_ratio_reads_a_deficit_far_below_the_volume(capsys):
+    # the deficit at t = 1e-200 is about 1e-50 of |Omega|, so the content is
+    # 1 to the last bit and the ratio must come from the deficit itself
+    argv = ["estimate", "--time-change", "inv", "--exponent", "stable:0.5", "--t", "1e-200"]
+    assert main([*argv, "--paths", "64", "--format", "json"]) == 0
+    spectral = json.loads(capsys.readouterr().out)[0]
+    target = 2.0 / math.gamma(1.25)
+    assert abs(spectral["ratio"] - target) <= 4.0 * spectral["stderr"] / spectral["rate_value"]
 
 
 def test_rate_value_inverts_phi_on_stiff_mixed_ladder(capsys):

@@ -24,7 +24,8 @@ from subheat import (
     subordinate_deficit_series,
 )
 from subheat import samplers
-from subheat.estimators import BLOCK, _regular_kernel, combine_blocks
+from subheat.estimators import _regular_kernel
+from subheat.samplers import BLOCK, combine_blocks
 
 UNIT = Interval(0.0, 1.0)
 
@@ -83,6 +84,7 @@ def test_worker_bit_identity(estimate, exp, dom, extra):
     a = estimate(exp, dom, 1e-3, n, RandomStream(9), *extra, workers=1)
     b = estimate(exp, dom, 1e-3, n, RandomStream(9), *extra, workers=2)
     assert a.value == b.value
+    assert a.deficit == b.deficit
     assert a.stderr == b.stderr
 
 
@@ -122,6 +124,25 @@ def test_mixed_telescoped_worker_bit_identity():
     b = estimate_spectral_subordinate(exp, UNIT, 1e-6, 3 * BLOCK, RandomStream(9), workers=2)
     assert a.value == b.value
     assert a.stderr == b.stderr
+
+
+@pytest.mark.parametrize(
+    "exp,t",
+    [
+        (Stable(0.5), 2e4),
+        (Stable(0.25), 2e4),
+        (TemperedStable(0.25, 1.0), 1e2),
+        (Stable(0.5), 1.0),
+        (Stable(0.25), 1.0),
+        (TemperedStable(0.25, 1.0), 1.0),
+    ],
+)
+def test_spectral_subordinate_deficit_matches_series_past_saturation(exp, t):
+    # once the clock scale passes the deficit's time scale the deficit is no
+    # longer a rare event, and importance sampling gives way to plain draws
+    est = estimate_spectral_subordinate(exp, UNIT, t, 65_536, RandomStream(8))
+    series, tail = subordinate_deficit_series(UNIT, exp, t)
+    assert abs(est.deficit - series) <= 4.0 * est.stderr + tail + 1e-12
 
 
 def test_spectral_subordinate_clamped_to_physical_range():
