@@ -7,6 +7,11 @@ additionally use importance sampling on the Kanter representation while the
 deficit |Omega| - Q is a rare event of the clock, because plain draws almost
 never land where it is nonzero once t is of order 1e-8.
 
+Inverse clocks without a closed-form E_t are estimated on the interval by
+duality at small times: since {E_t > u} = {D_u < t}, E f(E_t) is the integral
+of f'(u) P(D_u < t), and each path scores one exact draw of D_u at a random
+u instead of walking a grid to the first passage of t.
+
 Each estimator is a block kernel, a few lines that turn one block's clock
 draws into the heat lost per path, run by the block engine samplers.run_blocks:
 one counter-based stream per block of BLOCK paths, block moments combined by a
@@ -22,8 +27,16 @@ import time
 import numpy as np
 
 from . import samplers
-from .heat_oracles import Disk, Interval, disk_survival_block, exact_deficit_interval, exact_H_interval
-from .levy_exponents import MixedStable, Regime, regime
+from .heat_oracles import (
+    Disk,
+    Interval,
+    disk_survival_block,
+    exact_deficit_interval,
+    exact_deficit_rate_interval,
+    exact_H_interval,
+    exact_H_rate_interval,
+)
+from .levy_exponents import MixedStable, Regime, Stable, phi, regime
 from .samplers import (
     Estimate,
     Kind,
@@ -42,7 +55,7 @@ def _is_saturation(beta, t, u_cap):
 
     In Kanter form D_t = t^(1/b) (A/e)^((1-b)/b) passes u_cap = s_cap t^(1/b)
     only for e below e_sat = A(0+) s_cap^(-b/(1-b)) or so: a rare event, which
-    the importance proposal targets, while e_sat < 1.
+    the importance proposal targets while e_sat is below _is_switch(b).
     """
     log_scale = math.log(t) / beta
     if max(abs(log_scale), abs(math.log(u_cap) - log_scale)) > _LOG_RANGE:
@@ -53,6 +66,19 @@ def _is_saturation(beta, t, u_cap):
         )
     s_cap = u_cap / t ** (1.0 / beta)
     return s_cap, samplers.kanter_angle_min(beta) * s_cap ** (-beta / (1.0 - beta))
+
+
+# (index, e_sat) where the importance proposal's stderr meets that of plain
+# draws, measured on stable clocks at 65,536 paths (interval (0, 1), six
+# seeds): the proposal is up to 50x better below and up to 70x worse above
+_IS_CROSSOVER = ((0.1, 6e-3), (0.25, 2e-3), (0.4, 8e-5), (0.5, 1e-6))
+
+
+def _is_switch(beta):
+    """e_sat below which importance sampling beats plain draws at index beta,
+    log-interpolated in the measured crossovers."""
+    b, e = zip(*_IS_CROSSOVER)
+    return 10.0 ** np.interp(beta, b, np.log10(e))
 
 
 def _is_stable_draws(beta, t, u_cap, n, stream):
@@ -113,18 +139,21 @@ def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
     return exact_deficit_interval(dom, d) * w
 
 
+def _importance_sampled(exp, t, u_cap):
+    """Whether a subordinator's deficit at t is importance-sampled: leading
+    index <= 1/2, and the deficit rare enough for every component that the
+    proposal beats plain draws."""
+    return regime(exp) is not Regime.HIGH_INDEX and all(
+        _is_saturation(b, w * t, u_cap)[1] < _is_switch(b) for b, w in exp.components
+    )
+
+
 def _spectral_kernel(args, stream, lo, size, n):
-    # both branches return deficit draws |Omega| - Q; a subordinator of
-    # leading index <= 1/2 is importance-sampled while the deficit is a rare
-    # event for every component
+    # both branches return deficit draws |Omega| - Q
     spec, dom, t = args
     exp = spec.exponent
     u_cap = np.pi * dom.length * dom.length / 4.0
-    if (
-        spec.kind is Kind.SUBORDINATOR
-        and regime(exp) is not Regime.HIGH_INDEX
-        and all(_is_saturation(b, w * t, u_cap)[1] < 1.0 for b, w in exp.components)
-    ):
+    if spec.kind is Kind.SUBORDINATOR and _importance_sampled(exp, t, u_cap):
         return _deficit_is_draws(exp, t, dom, u_cap, size, stream)
     return exact_deficit_interval(dom, sample_clock(spec, t, stream, size))
 
@@ -132,6 +161,67 @@ def _spectral_kernel(args, stream, lo, size, n):
 def _regular_kernel(args, stream, lo, size, n):
     spec, dom, t = args
     return exact_H_interval(dom, sample_clock(spec, t, stream, size))
+
+
+def _tilt_rate(exp):
+    """Sum of w theta^b over components: D_u's tilt to the tempered law is
+    e^(u * this - theta D_u); 0 for an untempered exponent."""
+    return sum(w * exp.theta**b for b, w in exp.components)
+
+
+def _duality_kernel(args, stream, lo, size, n):
+    # E f(E_t) = int f'(u) P(D_u < t) du for f = L - Q or H, both 0 at u = 0,
+    # since {E_t > u} = {D_u < t}.  u = u_max V^2 has density
+    # 1/(2 sqrt(u u_max)), which cancels the u^(-1/2) of f' at 0; one exact
+    # D_u per path, tilted by e^(u theta^b - theta D_u) when tempered, scores
+    # the indicator
+    spec, dom, t, rate, u_max = args
+    exp = spec.exponent
+    v = 1.0 - stream.uniforms(size)  # in (0, 1], so f'(u) stays finite
+    u = u_max * v * v
+    d = samplers.sample_untempered(exp, u, stream)
+    score = np.where(d < t, rate(dom, u) * (2.0 * u_max) * v, 0.0)
+    if exp.theta > 0.0:
+        score *= np.exp(u * _tilt_rate(exp) - exp.theta * np.minimum(d, t))
+    return score
+
+
+_CHERNOFF_LOG = 700.0  # P(D_u < t) is below e^-700 past the horizon u_max
+
+
+def _duality_horizon(exp, t):
+    """u_max past which the duality integrand is negligible.
+
+    For every s > 0, P(D_u < t) <= e^(s t - u phi(s)) (Chernoff), so
+    u_max = min over s of (s t + 700)/phi(s) leaves out at most L e^-700 of
+    the heat lost.  The minimum is taken on a log grid of s around 1/t, where
+    it lies for every index; any s on the grid gives a valid bound.
+    """
+    log_s = np.minimum(np.linspace(-10.0, 30.0, 401) - math.log(t), 700.0)
+    log_bound = np.logaddexp(log_s + math.log(t), math.log(_CHERNOFF_LOG)) - np.log(phi(exp, np.exp(log_s)))
+    return float(np.exp(log_bound.min()))
+
+
+def _interval_clock(kernel, rate, spec, dom, t):
+    """Kernel and args of an interval estimate of f(clock) with f' = rate.
+
+    A non-stable inverse clock without a set grid step takes the duality
+    kernel in the small-time regime u0 theta^b <= 1, u0 = 1/phi(1/t) being
+    the scale of E_t; past it E_t concentrates near t/phi'(0) and the grid
+    walk is cheap, while the tilt weight's variance grows like
+    e^(u (2 theta^b - (2 theta)^b)).  Everything else draws the clock.
+    """
+    exp = spec.exponent
+    if (
+        spec.kind is Kind.INVERSE
+        and spec.grid_step is None
+        and not isinstance(exp, Stable)
+        and isinstance(dom, Interval)
+        and 0.0 < t < math.inf
+        and _tilt_rate(exp) <= phi(exp, 1.0 / t)
+    ):
+        return _duality_kernel, (spec, dom, t, rate, _duality_horizon(exp, t))
+    return kernel, (spec, dom, t)
 
 
 def _disk_kernel(args, stream, lo, size, n):
@@ -176,20 +266,27 @@ def estimate_spectral_subordinate(exp, dom, t, n, stream, *, workers=1):
     return _estimate(_spectral_kernel, (spec, dom, t), n, stream, workers)
 
 
-def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1):
+def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1, grid_step=None):
     """Spectral heat content under an inverse subordinator clock.
 
     The inverse clock is continuous, so the killed and time-changed-then-
-    killed contents coincide and one estimator serves both.
+    killed contents coincide and one estimator serves both.  Stable clocks
+    draw E_t in closed form; other clocks score one exact D_u per path by
+    duality at small times, or walk the grid, always so when grid_step is set.
     """
-    spec = TimeChangeSpec(exp, Kind.INVERSE)
-    return _estimate(_spectral_kernel, (spec, dom, t), n, stream, workers)
+    spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step)
+    kernel, args = _interval_clock(_spectral_kernel, exact_deficit_rate_interval, spec, dom, t)
+    return _estimate(kernel, args, n, stream, workers)
 
 
-def estimate_regular(exp, dom, t, n, stream, kind, *, workers=1):
-    """Regular heat content: expected heat mass in the complement at time t."""
-    spec = TimeChangeSpec(exp, Kind(kind))
-    return _estimate(_regular_kernel, (spec, dom, t), n, stream, workers, content=False)
+def estimate_regular(exp, dom, t, n, stream, kind, *, workers=1, grid_step=None):
+    """Regular heat content: expected heat mass in the complement at time t.
+
+    An inverse clock is drawn as in estimate_spectral_inverse.
+    """
+    spec = TimeChangeSpec(exp, Kind(kind), grid_step)
+    kernel, args = _interval_clock(_regular_kernel, exact_H_rate_interval, spec, dom, t)
+    return _estimate(kernel, args, n, stream, workers, content=False)
 
 
 def estimate_spectral_disk(exp, dom, t, n, stream, kind, *, workers=1):

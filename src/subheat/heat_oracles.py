@@ -11,8 +11,9 @@ standard normal density phi and distribution Phi; the r(5a) term is below
 1e-28 of the total there. Above it the Dirichlet eigenfunction series
 L - sum of 8L/(k pi)^2 e^(-(k pi/L)^2 u) over the odd modes k = 1, 3, 5, 7
 needs 4 modes, the next being below 1e-36 at the switch. The heat content Q
-is the complement. The 2D disk gets an Euler walk with a Brownian-bridge
-boundary-crossing correction.
+is the complement. The rates -Q'(u) and H'(u), which the duality estimator of
+inverse clocks integrates, come term by term from the same forms. The 2D
+disk gets an Euler walk with a Brownian-bridge boundary-crossing correction.
 """
 
 from __future__ import annotations
@@ -107,16 +108,26 @@ def _r(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI - x * ndtr(-x)
 
 
+def _as_times(u):
+    """(whether u is a scalar, u as a 1-d float array); refuses negative times."""
+    scalar = np.isscalar(u) or np.asarray(u).ndim == 0
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if np.any(u_arr < 0.0):
+        raise ValueError("time must be nonnegative")
+    return scalar, u_arr
+
+
+def _shaped(scalar, out):
+    return float(out[0]) if scalar else out
+
+
 def exact_deficit_interval(dom: Interval, u):
     """Heat lost by time u under killing at the interval ends, L - Q(u).
 
     Exact for all u >= 0 and free of cancellation: at small u it is
     4 sqrt(u/pi) to full relative precision down to u = 1e-300.
     """
-    scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr < 0.0):
-        raise ValueError("time must be nonnegative")
+    scalar, u_arr = _as_times(u)
     L = dom.length
     out = np.zeros_like(u_arr)
     lo = (u_arr > 0.0) & (u_arr < L * L / 10.0)
@@ -130,7 +141,32 @@ def exact_deficit_interval(dom: Interval, u):
         k = _EIGEN_K[:, None]
         terms = 8.0 * L / (k * np.pi) ** 2 * np.exp(-((k * np.pi / L) ** 2) * u_arr[hi][None, :])
         out[hi] = L - terms.sum(axis=0)
-    return float(out[0]) if scalar else out
+    return _shaped(scalar, out)
+
+
+def exact_deficit_rate_interval(dom: Interval, u):
+    """Rate of heat loss -Q'(u), the derivative of exact_deficit_interval.
+
+    Term by term from the same two forms, since d/du of sigma r(m a) is
+    phi(m a)/sigma: below the switch (4 phi(0) - 8 phi(a) + 8 phi(2a)
+    - 8 phi(3a) + 8 phi(4a))/sigma, above it the sum of (8/L) e^(-(k pi/L)^2 u)
+    over k = 1, 3, 5, 7.  It blows up like 1/sqrt(pi u) at 0, where it is inf.
+    """
+    scalar, u_arr = _as_times(u)
+    L = dom.length
+    out = np.full_like(u_arr, np.inf)
+    lo = (u_arr > 0.0) & (u_arr < L * L / 10.0)
+    if np.any(lo):
+        sig = np.sqrt(2.0 * u_arr[lo])
+        a = L / sig
+        with np.errstate(over="ignore"):
+            images = sum((-1.0) ** m * np.exp(-0.5 * (m * a) ** 2) for m in (1, 2, 3, 4))
+        out[lo] = (4.0 + 8.0 * images) / (_SQRT_2PI * sig)
+    hi = u_arr >= L * L / 10.0
+    if np.any(hi):
+        k = _EIGEN_K[:, None]
+        out[hi] = (8.0 / L * np.exp(-((k * np.pi / L) ** 2) * u_arr[hi][None, :])).sum(axis=0)
+    return _shaped(scalar, out)
 
 
 def exact_Q_interval(dom: Interval, u):
@@ -147,12 +183,12 @@ def exact_H_interval(dom: Interval, u):
 
     Closed form 2 sigma (a Phibar(a) + phi(0) - phi(a)) with sigma = sqrt(2u)
     and a = L/sigma, from integrating the two one-sided Gaussian tails over
-    the interval.
+    the interval.  Where a < 1 (u > L^2/2) phi(0) - phi(a) cancels, and it is
+    taken as -phi(0) expm1(-a^2/2), so that H tends to L to rounding as
+    u >> L^2; where a >= 1 the difference loses nothing, and is kept as one
+    so that H keeps its bytes there.
     """
-    scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr < 0.0):
-        raise ValueError("time must be nonnegative")
+    scalar, u_arr = _as_times(u)
     L = dom.length
     out = np.zeros_like(u_arr)
     pos = u_arr > 0.0
@@ -165,16 +201,34 @@ def exact_H_interval(dom: Interval, u):
         val = np.negative(a)
         ndtr(val, out=val)
         val *= a
+        near = a < 1.0
+        tail_near = val[near]
         val += 1.0 / _SQRT_2PI
         gauss = np.multiply(-0.5, a)
         gauss *= a
         np.exp(gauss, out=gauss)
         gauss /= _SQRT_2PI
         val -= gauss
+        if tail_near.size:
+            val[near] = tail_near - np.expm1(-0.5 * a[near] ** 2) / _SQRT_2PI
         sig *= 2.0
         val *= sig
         out[pos] = val
-    return float(out[0]) if scalar else out
+    return _shaped(scalar, out)
+
+
+def exact_H_rate_interval(dom: Interval, u):
+    """Rate H'(u) = 2 (phi(0) - phi(a)) / sigma = -2 phi(0) expm1(-a^2/2) / sigma
+    of exact_H_interval, with sigma = sqrt(2u) and a = L/sigma; inf at u = 0."""
+    scalar, u_arr = _as_times(u)
+    out = np.full_like(u_arr, np.inf)
+    pos = u_arr > 0.0
+    if np.any(pos):
+        sig = np.sqrt(2.0 * u_arr[pos])
+        a = dom.length / sig
+        with np.errstate(over="ignore"):
+            out[pos] = -2.0 / _SQRT_2PI * np.expm1(-0.5 * a * a) / sig
+    return _shaped(scalar, out)
 
 
 def disk_survival_block(

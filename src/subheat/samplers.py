@@ -7,6 +7,8 @@ tempered variates use exponential-tilt rejection; inverse variates use the
 exact first-passage identity for stable exponents and a grid first-passage
 walk with conditional bisection refinement otherwise; sample_clock picks the
 subordinator or the inverse sampler by the kind of a TimeChangeSpec.
+sample_untempered draws D_u at one clock time per path, which the duality
+estimator of inverse clocks scores in place of the grid walk at small times.
 run_blocks, the package's one Monte Carlo block driver, sits next to the
 streams it keys.
 """
@@ -146,7 +148,9 @@ class TimeChangeSpec:
     """A subordinator or inverse-subordinator clock plus sampling strategy.
 
     grid_step is only consulted for grid-based inverse sampling; None means
-    the default t * 1e-3 chosen at sampling time.
+    the default t * 1e-3 chosen at sampling time.  A set grid_step also keeps
+    an interval inverse estimate on the grid walk instead of the duality
+    estimator.
     """
 
     exponent: LaplaceExponent
@@ -272,6 +276,14 @@ def _stable_sum_block(components, t: float, stream: RandomStream, shape):
     for b, w in rest:
         out += _stable_block(b, w * t, stream, shape)
     return out
+
+
+def sample_untempered(exp: LaplaceExponent, u, stream: RandomStream):
+    """D at per-path clock times u (an array) for exp without its tempering:
+    one Kanter draw per component and path.  Weighted by the exponential
+    tilt e^(u theta^b - theta D), the draws follow the tempered law."""
+    u = np.asarray(u, dtype=float)
+    return _stable_sum_block(exp.components, u, stream, u.shape)
 
 
 def sample_subordinator(exp: LaplaceExponent, t: float, stream: RandomStream, size=None):

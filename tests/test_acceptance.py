@@ -65,7 +65,8 @@ def test_criterion_05_inverse_limit():
 
 def test_criterion_06_inverse_universality():
     # tempered beta=0.5, theta=1 through the grid inverse sampler at t=1e-5,
-    # grid_step=t*1e-3, within 5% of 2/Gamma(1.25); < 5 min
+    # with grid_step=t*1e-3 passed explicitly (without a step this clock
+    # takes the duality estimator), within 5% of 2/Gamma(1.25); < 5 min
     _assert_all(_run("inverse-universality", 300.0))
 
 
@@ -99,7 +100,9 @@ def test_criterion_11_oracle_integrity():
 
 
 def test_criterion_12_determinism():
-    # cmd_estimate output is byte-identical across worker counts
+    # cmd_estimate output is byte-identical across worker counts, for the
+    # suite's stable subordinator estimate and for a tempered inverse one at
+    # t=1e-3, which takes the duality estimator (one exact D_u per path)
     _assert_all(_run("determinism", 30.0))
     cfg = RunConfig(
         exponent="tempered:0.5,1.0",

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,25 @@ def test_ratio_reads_a_deficit_far_below_the_volume(capsys):
     spectral = json.loads(capsys.readouterr().out)[0]
     target = 2.0 / math.gamma(1.25)
     assert abs(spectral["ratio"] - target) <= 4.0 * spectral["stderr"] / spectral["rate_value"]
+
+
+def test_tiny_t_tempered_inverse_answers_in_bounded_time(capsys):
+    # a grid walk at the default step t * 1e-3 would need about 1e9 steps to
+    # cross t = 1e-12; the duality estimator draws one D_u per path instead
+    argv = ["estimate", "--time-change", "inv", "--exponent", "tempered:0.5,1", "--paths", "64"]
+    start = time.perf_counter()
+    assert main([*argv, "--t", "1e-12", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 5.0
+    spectral = json.loads(capsys.readouterr().out)[0]
+    target = 2.0 / math.gamma(1.25)
+    tol = max(4.0 * spectral["stderr"] / spectral["rate_value"], 0.02 * target)
+    assert abs(spectral["ratio"] - target) <= tol
+    code = main([*argv, "--t", "1e-300", "--format", "json"])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert all(math.isfinite(row["ratio"]) for row in json.loads(captured.out))
+    else:
+        assert code == 2 and "t = 1e-300" in captured.err
 
 
 def test_rate_value_inverts_phi_on_stiff_mixed_ladder(capsys):

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from subheat import (
     Disk,
@@ -19,12 +19,16 @@ from subheat import (
     estimate_spectral_disk,
     estimate_spectral_inverse,
     estimate_spectral_subordinate,
+    exact_deficit_interval,
+    exact_deficit_rate_interval,
     exact_H_interval,
+    exact_H_rate_interval,
     exact_Q_interval,
+    parse_exponent,
     subordinate_deficit_series,
 )
 from subheat import samplers
-from subheat.estimators import _regular_kernel
+from subheat.estimators import _importance_sampled, _regular_kernel
 from subheat.samplers import BLOCK, combine_blocks
 
 UNIT = Interval(0.0, 1.0)
@@ -74,8 +78,13 @@ def test_spectral_subordinate_matches_series_oracle(exp, t, kmax):
         (estimate_regular, Stable(0.5), UNIT, (Kind.INVERSE,)),
         (estimate_spectral_disk, Stable(0.75), Disk(1.0), (Kind.SUBORDINATOR,)),
         (estimate_spectral_disk, Stable(0.5), Disk(1.0), (Kind.INVERSE,)),
+        (estimate_spectral_inverse, TemperedStable(0.5, 1.0), UNIT, ()),
+        (estimate_regular, MixedStable(((0.25, 1.0), (0.5, 1.0))), UNIT, (Kind.INVERSE,)),
     ],
-    ids=["spectral-sub", "spectral-inv", "regular-sub", "regular-inv", "disk-sub", "disk-inv"],
+    ids=[
+        "spectral-sub", "spectral-inv", "regular-sub", "regular-inv", "disk-sub", "disk-inv",
+        "spectral-inv-duality", "regular-inv-duality",
+    ],
 )
 def test_worker_bit_identity(estimate, exp, dom, extra):
     # the pool pickles each kernel and its arguments; a ragged last block
@@ -233,3 +242,119 @@ def test_importance_sampling_beats_plain_for_deep_t():
     deficit_est = UNIT.volume - est.value
     assert deficit_est == pytest.approx(deficit_true, rel=0.08)
     assert est.stderr < 0.03 * deficit_true
+
+
+# ------------------------------------------------------ importance switch
+
+
+@pytest.mark.parametrize(
+    "exp,t,weighted",
+    [
+        (Stable(0.5), 1.0, False),
+        (Stable(0.5), 0.1, False),
+        (Stable(0.25), 1.0, False),
+        (Stable(0.5), 1e-3, True),
+        (Stable(0.25), 1e-3, True),
+    ],
+)
+def test_importance_switch_picks_the_lower_stderr(exp, t, weighted):
+    # the switch sits where the proposal's stderr meets that of plain draws,
+    # so the path taken is never noisier than plain draws of the same clock
+    n = 65_536
+    u_cap = math.pi * UNIT.length**2 / 4.0
+    assert _importance_sampled(exp, t, u_cap) is weighted
+    est = estimate_spectral_subordinate(exp, UNIT, t, n, RandomStream(8))
+    plain = exact_deficit_interval(UNIT, samplers.sample_subordinator(exp, t, RandomStream(8, 2**40), n))
+    assert est.stderr <= 1.1 * float(plain.std(ddof=1)) / math.sqrt(n)
+    series, tail = subordinate_deficit_series(UNIT, exp, t)
+    assert abs(est.deficit - series) <= 4.0 * est.stderr + tail
+
+
+@pytest.mark.parametrize(
+    "text", ["stable:0.5", "stable:0.25", "tempered:0.25,1", "mixed:0.25*1+0.5*1"]
+)
+def test_importance_sampling_kept_on_every_deep_rung(text):
+    # the sub-ladder rungs and the verify suites' ladders stay weighted
+    u_cap = math.pi * UNIT.length**2 / 4.0
+    for t in (1e-4, 1e-6, 1e-8, 1e-10):
+        assert _importance_sampled(parse_exponent(text), t, u_cap)
+
+
+# ------------------------------------------------------ duality estimator
+
+
+@pytest.mark.parametrize("u", [1e-8, 1e-4, 0.01, 0.0999, 0.1001, 0.3, 1.0])
+def test_rate_oracles_are_derivatives_of_the_exact_oracles(u):
+    h = 1e-5 * u
+    for rate, f in ((exact_deficit_rate_interval, exact_deficit_interval), (exact_H_rate_interval, exact_H_interval)):
+        diff = (f(UNIT, u + h) - f(UNIT, u - h)) / (2.0 * h)
+        assert rate(UNIT, u) == pytest.approx(diff, rel=1e-6)
+        assert rate(UNIT, np.array([u]))[0] == rate(UNIT, u)
+    assert exact_deficit_rate_interval(UNIT, 0.0) == math.inf
+    assert exact_H_rate_interval(UNIT, 0.0) == math.inf
+
+
+def _half_tempered_inverse(theta, t, rate):
+    # E f(E_t) = int f'(u) P(D_u < t) du, where D_u is inverse Gaussian with
+    # mean u / (2 sqrt(theta)) and shape u^2 / 2; u = v^2 removes the
+    # u^(-1/2) of f' at 0
+    def cdf(u):
+        return stats.invgauss.cdf(t, 1.0 / (u * math.sqrt(theta)), scale=u * u / 2.0)
+
+    scale = math.sqrt(2.0 * t)
+    val, _ = integrate.quad(
+        lambda v: rate(UNIT, v * v) * cdf(v * v) * 2.0 * v if v > 0.0 else 0.0,
+        0.0,
+        math.sqrt(40.0 * scale),
+        points=[math.sqrt(c * scale) for c in (0.25, 1.0, 3.0, 10.0)],
+        limit=400,
+        epsabs=0.0,
+        epsrel=1e-10,
+    )
+    return val
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 0.1])
+def test_duality_matches_inverse_gaussian_quadrature(t):
+    exp = TemperedStable(0.5, 1.0)
+    spectral = estimate_spectral_inverse(exp, UNIT, t, 65_536, RandomStream(21))
+    regular = estimate_regular(exp, UNIT, t, 65_536, RandomStream(22), Kind.INVERSE)
+    for est, rate in ((spectral, exact_deficit_rate_interval), (regular, exact_H_rate_interval)):
+        target = _half_tempered_inverse(1.0, t, rate)
+        assert abs(est.deficit - target) <= 4.0 * est.stderr
+        assert est.stderr <= 0.015 * target
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-5])
+@pytest.mark.parametrize("text", ["mixed:0.25*1+0.5*1", "tempered:0.75,1"])
+def test_duality_matches_the_grid_walk(text, t):
+    exp = parse_exponent(text)
+    n = 512
+    spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step=t * 1e-2)
+    e = samplers.sample_inverse(spec, t, RandomStream(5), n)
+    duals = (
+        estimate_spectral_inverse(exp, UNIT, t, 65_536, RandomStream(7)),
+        estimate_regular(exp, UNIT, t, 65_536, RandomStream(8), Kind.INVERSE),
+    )
+    for f, dual in zip((exact_deficit_interval, exact_H_interval), duals):
+        walk = f(UNIT, e)
+        se = math.hypot(float(walk.std(ddof=1)) / math.sqrt(n), dual.stderr)
+        assert abs(float(walk.mean()) - dual.deficit) <= 4.0 * se
+
+
+def test_walk_kept_past_small_times():
+    # u0 theta^b = 1/phi(1/t) = 2.4 at t = 1: E_t concentrates and the grid
+    # walk is cheap, so both rows are the walk's at its default step, to the
+    # bit; the recorded values are the walk's before the duality estimator
+    # existed (the regular one up to the rounding of the expm1 form of H)
+    exp, t = TemperedStable(0.5, 1.0), 1.0
+    spectral = estimate_spectral_inverse(exp, UNIT, t, 512, RandomStream(3))
+    regular = estimate_regular(exp, UNIT, t, 512, RandomStream(4), Kind.INVERSE)
+    for est, walk in (
+        (spectral, estimate_spectral_inverse(exp, UNIT, t, 512, RandomStream(3), grid_step=t * 1e-3)),
+        (regular, estimate_regular(exp, UNIT, t, 512, RandomStream(4), Kind.INVERSE, grid_step=t * 1e-3)),
+    ):
+        assert (est.value, est.stderr) == (walk.value, walk.stderr)
+    assert (spectral.value, spectral.stderr) == (0.0049521189644365915, 0.0018428667566067994)
+    assert regular.value == pytest.approx(0.8009321608867099, rel=1e-14)
+    assert regular.stderr == pytest.approx(0.003356908008648534, rel=1e-12)

@@ -149,6 +149,26 @@ def test_exact_h_analytic_properties():
     )
 
 
+def test_exact_h_matches_mpmath_without_cancellation():
+    # H = 2 sigma (a Phibar(a) + phi(0) - phi(a)) at 80 digits, from u far
+    # below L^2 to u far above it, where phi(0) - phi(a) cancels in doubles
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 80
+
+    def exact(L, u):
+        sig = mpmath.sqrt(2 * mpmath.mpf(u))
+        a = mpmath.mpf(L) / sig
+        return 2 * sig * (a * mpmath.ncdf(-a) - mpmath.npdf(0) * mpmath.expm1(-a * a / 2))
+
+    for u in np.geomspace(1e-300, 1e300, 121):
+        got = exact_H_interval(UNIT, float(u))
+        assert abs(got - float(exact(1, float(u)))) <= 1e-15 * got
+    assert exact_H_interval(UNIT, 1e32) == pytest.approx(1.0, rel=2e-16)
+    for u in (1e34, 1e40, 1e300):
+        assert exact_H_interval(UNIT, u) == 1.0
+    assert exact_H_interval(Interval(0.0, 1e-50), 1e-4) == pytest.approx(1e-50, rel=1e-15)
+
+
 def test_exact_h_vectorized_matches_scalar():
     us = np.array([0.0, 1e-6, 0.03, 2.0])
     vec = exact_H_interval(UNIT, us)
