@@ -40,6 +40,7 @@ from .estimators import (
 from .heat_oracles import (
     Disk,
     Interval,
+    exact_deficit_disk,
     exact_deficit_interval,
     exact_Q_interval,
     interval_survival_block,
@@ -396,12 +397,14 @@ def _suite_inverse(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     n = 100_000 if quick else 400_000
     rel = cfg.tolerance if cfg.tolerance is not None else 0.02
     out = []
-    stream = _suite_stream(cfg, 5)
+    # spectral rows from key i 2^20, regular ones from i 2^20 + 2^19
+    offsets = [i * 2**20 + q * 2**19 for i in range(3) for q in range(2)]
+    keys = samplers.disjoint_spawns(_suite_stream(cfg, 5), offsets, n)
     for i, beta in enumerate((0.25, 0.5, 0.75)):
-        exp, key = Stable(beta), stream.spawn(i * 2**20)
-        est = estimate_spectral_inverse(exp, _UNIT, t, n, key, workers=cfg.workers)
+        exp = Stable(beta)
+        est = estimate_spectral_inverse(exp, _UNIT, t, n, keys[2 * i], workers=cfg.workers)
         out.append(_ratio_check(f"inverse-spectral-b{beta:g}", est, predict_spectral(exp, _UNIT, Kind.INVERSE), t, rel))
-        est = estimate_regular(exp, _UNIT, t, n, key.spawn(2**19), Kind.INVERSE, workers=cfg.workers)
+        est = estimate_regular(exp, _UNIT, t, n, keys[2 * i + 1], Kind.INVERSE, workers=cfg.workers)
         out.append(_ratio_check(f"inverse-regular-b{beta:g}", est, predict_regular(exp, _UNIT, Kind.INVERSE), t, rel))
     return out
 
@@ -502,7 +505,17 @@ def _suite_oracle(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     want = 4.0 / math.sqrt(math.pi)
     rel = abs(deficit / math.sqrt(u) - want) / want
     out.append(_check("short-time-constant", 0.0, rel, 1e-4))
-    # the same bridge-corrected walk the disk uses, run where an exact answer exists
+    # the disk oracle's two forms meet at s = u/R^2 = 0.01, and below it the
+    # deficit is 4 sqrt(pi s) - pi s + O(s^(3/2)), the curvature term -pi s
+    disk = Disk(1.0)
+    d_lo = exact_deficit_disk(disk, 0.01 * (1.0 - 1e-13))
+    d_hi = exact_deficit_disk(disk, 0.01 * (1.0 + 1e-13))
+    out.append(_check("disk-switch-continuity", 0.0, abs(d_lo - d_hi), 1e-12))
+    s = 1e-10
+    curvature = (exact_deficit_disk(disk, s) - 4.0 * math.sqrt(math.pi * s)) / s
+    out.append(_check("disk-curvature-term", 0.0, abs(curvature / math.pi + 1.0), 1e-4))
+    # a bridge-corrected killed walk, the path machinery of mc_Q_disk, run
+    # where an exact answer exists
     n = 100_000 if quick else 400_000
     u_w = 0.02
     walk, _ = run_blocks(_bridge_walk_kernel, u_w, n, _suite_stream(cfg, 11))

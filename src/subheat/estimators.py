@@ -1,13 +1,13 @@
 """Monte Carlo estimators of spectral and regular heat contents.
 
-All one-dimensional estimation is Rao-Blackwellized: a path of the time change
-is drawn, then the exact interval heat lost at that clock value replaces the
-Brownian indicator. Deep-time subordinator runs (leading index <= 1/2)
+All estimation is Rao-Blackwellized: a path of the time change is drawn, then
+the exact heat lost at that clock value, from the interval or the disk oracle,
+replaces the Brownian indicator. Deep-time subordinator runs (leading index <= 1/2)
 additionally use importance sampling on the Kanter representation while the
 deficit |Omega| - Q is a rare event of the clock, because plain draws almost
 never land where it is nonzero once t is of order 1e-8.
 
-Inverse clocks without a closed-form E_t are estimated on the interval by
+Inverse clocks without a closed-form E_t are estimated on either domain by
 duality at small times: since {E_t > u} = {D_u < t}, E f(E_t) is the integral
 of f'(u) P(D_u < t), and each path scores one exact draw of D_u at a random
 u instead of walking a grid to the first passage of t.
@@ -30,9 +30,8 @@ from . import samplers
 from .heat_oracles import (
     Disk,
     Interval,
-    disk_survival_block,
-    exact_deficit_interval,
-    exact_deficit_rate_interval,
+    exact_deficit,
+    exact_deficit_rate,
     exact_H_interval,
     exact_H_rate_interval,
 )
@@ -86,8 +85,8 @@ def _is_stable_draws(beta, t, u_cap, n, stream):
 
     Proposals are log-uniform in the Kanter angle complement v = 1 - u and in
     the exponential variate e, tuned so the draws cover the full range of
-    clock values u up to u_cap; for the interval deficit L - Q(u) that is
-    pi L^2 / 4, beyond which Q has decayed.
+    clock values u up to u_cap, the domain's saturation clock, beyond which
+    Q has decayed.
     """
     s_cap, e_sat = _is_saturation(beta, t, u_cap)
     sig_b = np.sin(beta * np.pi) ** beta * np.sin((1.0 - beta) * np.pi) ** (1.0 - beta)
@@ -125,8 +124,8 @@ def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
         s_prev = np.zeros(n)
         for i, (b, wt) in enumerate(exp.components):
             di, wi = _is_stable_draws(b, wt * t, u_cap, n, stream.spawn(1 + 2 * i))
-            d_lo = exact_deficit_interval(dom, s_prev)
-            d_hi = exact_deficit_interval(dom, np.minimum(s_prev + di, 1e300))
+            d_lo = exact_deficit(dom, s_prev)
+            d_hi = exact_deficit(dom, np.minimum(s_prev + di, 1e300))
             out = out + (d_hi - d_lo) * wi
             if i + 1 < len(exp.components):
                 plain = samplers.sample_stable(b, wt * t, stream.spawn(2 + 2 * i), n)
@@ -136,7 +135,7 @@ def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
     if exp.theta > 0.0:
         with np.errstate(under="ignore"):
             w = w * np.exp(-exp.theta * d + t * exp.theta**exp.beta)
-    return exact_deficit_interval(dom, d) * w
+    return exact_deficit(dom, d) * w
 
 
 def _importance_sampled(exp, t, u_cap):
@@ -152,10 +151,10 @@ def _spectral_kernel(args, stream, lo, size, n):
     # both branches return deficit draws |Omega| - Q
     spec, dom, t = args
     exp = spec.exponent
-    u_cap = np.pi * dom.length * dom.length / 4.0
+    u_cap = dom.saturation_clock
     if spec.kind is Kind.SUBORDINATOR and _importance_sampled(exp, t, u_cap):
         return _deficit_is_draws(exp, t, dom, u_cap, size, stream)
-    return exact_deficit_interval(dom, sample_clock(spec, t, stream, size))
+    return exact_deficit(dom, sample_clock(spec, t, stream, size))
 
 
 def _regular_kernel(args, stream, lo, size, n):
@@ -202,8 +201,8 @@ def _duality_horizon(exp, t):
     return float(np.exp(log_bound.min()))
 
 
-def _interval_clock(kernel, rate, spec, dom, t):
-    """Kernel and args of an interval estimate of f(clock) with f' = rate.
+def _clock_kernel(kernel, rate, spec, dom, t):
+    """Kernel and args of an estimate of f(clock) with f' = rate.
 
     A non-stable inverse clock without a set grid step takes the duality
     kernel in the small-time regime u0 theta^b <= 1, u0 = 1/phi(1/t) being
@@ -216,19 +215,11 @@ def _interval_clock(kernel, rate, spec, dom, t):
         spec.kind is Kind.INVERSE
         and spec.grid_step is None
         and not isinstance(exp, Stable)
-        and isinstance(dom, Interval)
         and 0.0 < t < math.inf
         and _tilt_rate(exp) <= phi(exp, 1.0 / t)
     ):
         return _duality_kernel, (spec, dom, t, rate, _duality_horizon(exp, t))
     return kernel, (spec, dom, t)
-
-
-def _disk_kernel(args, stream, lo, size, n):
-    spec, dom, t = args
-    u = sample_clock(spec, t, stream, size)
-    surv = disk_survival_block(dom.radius, u, stream, strat_index=lo, strat_total=n, n=size)
-    return dom.volume * (1.0 - surv)
 
 
 def _estimate(kernel, args, n, stream, workers, *, want=Interval, content=True):
@@ -275,7 +266,7 @@ def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1, grid_step=No
     duality at small times, or walk the grid, always so when grid_step is set.
     """
     spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step)
-    kernel, args = _interval_clock(_spectral_kernel, exact_deficit_rate_interval, spec, dom, t)
+    kernel, args = _clock_kernel(_spectral_kernel, exact_deficit_rate, spec, dom, t)
     return _estimate(kernel, args, n, stream, workers)
 
 
@@ -285,11 +276,18 @@ def estimate_regular(exp, dom, t, n, stream, kind, *, workers=1, grid_step=None)
     An inverse clock is drawn as in estimate_spectral_inverse.
     """
     spec = TimeChangeSpec(exp, Kind(kind), grid_step)
-    kernel, args = _interval_clock(_regular_kernel, exact_H_rate_interval, spec, dom, t)
+    kernel, args = _clock_kernel(_regular_kernel, exact_H_rate_interval, spec, dom, t)
     return _estimate(kernel, args, n, stream, workers, content=False)
 
 
 def estimate_spectral_disk(exp, dom, t, n, stream, kind, *, workers=1):
-    """Two-stage disk estimate: draw the clock, then one killed walk per clock."""
+    """Spectral heat content of a disk under a subordinator or inverse clock.
+
+    The interval estimators' kernels read the exact disk deficit instead:
+    each path scores pi R^2 - Q_R at its clock draw, with importance sampling
+    for deep low-index subordinators and duality for non-stable inverse
+    clocks at small times.
+    """
     spec = TimeChangeSpec(exp, Kind(kind))
-    return _estimate(_disk_kernel, (spec, dom, t), n, stream, workers, want=Disk)
+    kernel, args = _clock_kernel(_spectral_kernel, exact_deficit_rate, spec, dom, t)
+    return _estimate(kernel, args, n, stream, workers, want=Disk)

@@ -12,8 +12,15 @@ standard normal density phi and distribution Phi; the r(5a) term is below
 L - sum of 8L/(k pi)^2 e^(-(k pi/L)^2 u) over the odd modes k = 1, 3, 5, 7
 needs 4 modes, the next being below 1e-36 at the switch. The heat content Q
 is the complement. The rates -Q'(u) and H'(u), which the duality estimator of
-inverse clocks integrates, come term by term from the same forms. The 2D
-disk gets an Euler walk with a Brownian-bridge boundary-crossing correction.
+inverse clocks integrates, come term by term from the same forms.
+
+The disk of radius R loses R^2 D(u/R^2), D being the unit disk's deficit:
+below s = 0.01 its short-time expansion 4 sqrt(pi s) - pi s - (sqrt(pi)/3)
+s^(3/2) - ... (van den Berg & Le Gall 1994), a polynomial in sqrt(s) with
+coefficients from Hankel's expansion of I1/I0; above it pi less 20 J0 modes.
+An Euler walk with a Brownian-bridge boundary-crossing correction, which the
+estimators no longer use, stays as an independent Monte Carlo cross-check of
+the disk oracle (mc_Q_disk).
 """
 
 from __future__ import annotations
@@ -23,13 +30,37 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import jn_zeros, ndtr
 
 from .levy_exponents import phi
 from .samplers import Estimate, RandomStream, run_blocks
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _EIGEN_K = np.array([1.0, 3.0, 5.0, 7.0])  # odd modes; mode 9 is below 1e-36 at the switch
+# The unit disk's deficit D(s) = pi - Q(s) = sum over the zeros j_n of J0 of
+# 4 pi/j_n^2 (1 - e^(-j_n^2 s)), and a disk of radius R loses R^2 D(u/R^2).
+# Below s = 0.01 D(s) is the sum of _DISK_SERIES[k] x^(k+1), x = sqrt(s):
+# Hankel's expansion I1(z)/I0(z) ~ sum of c_k z^-k, c = 1, -1/2, -1/8, -1/8,
+# -25/128, ..., in the Laplace transform 2 pi I1(sqrt(l))/(l^(3/2) I0(sqrt(l)))
+# of D gives, term by term by l^-p <-> s^(p-1)/Gamma(p), the coefficients
+# 2 pi c_k/Gamma((k+3)/2) = 4 sqrt(pi), -pi, -sqrt(pi)/3, -pi/8, ...  The
+# expansion misses only terms of order e^(-1/s), and 24 terms leave 8e-19
+# relative at the switch.  Above it 20 modes leave 1e-18 relative.
+_DISK_SERIES = np.array([
+    7.089815403622064, -3.141592653589793, -0.5908179503018387, -0.39269908169872414,
+    -0.36926121893864916, -0.42542400517361784, -0.5660246970302436, -0.8426667794785122,
+    -1.3764248568995583, -2.4336093872876403, -4.611167371740355, -9.291070229816425,
+    -19.783957182413623, -44.29256363500556, -103.81444026339005, -253.8128629394538,
+    -645.2690041015888, -1701.2247439717514, -4640.300670415754, -13067.307067689137,
+    -37920.65699448218, -113212.90882607807, -347216.5441092548, -1092461.7795369322,
+])
+# D'(s) below the switch is the sum of _DISK_RATE_SERIES[k] x^(k-1)
+_DISK_RATE_SERIES = _DISK_SERIES * (np.arange(_DISK_SERIES.size) + 1.0) / 2.0
+_DISK_SWITCH = 0.1  # in x = sqrt(u)/R, i.e. s = 0.01
+_DISK_J2 = jn_zeros(0, 20) ** 2
+_DISK_Q_WEIGHTS = 4.0 * np.pi / _DISK_J2  # Q(s) = sum of these times e^(-j_n^2 s)
+_DISK_RATE_WEIGHTS = np.full(_DISK_J2.size, 4.0 * np.pi)  # and -Q'(s)
+_MODE_CUT = 42.0  # modes with e^(-(j_n^2 - j_1^2) s) below e^-42 are left out
 # domain sizes whose squares, inverse squares and squared contents stay far
 # inside double range, which the oracles and the second moments need
 _SIZE_RANGE = (1e-50, 1e50)
@@ -37,7 +68,7 @@ _SIZE_RANGE = (1e-50, 1e50)
 
 @dataclass(frozen=True)
 class Interval:
-    """Bounded open interval (a, b); the only domain with exact oracles."""
+    """Bounded open interval (a, b), with exact closed-form oracles."""
 
     a: float
     b: float
@@ -60,10 +91,17 @@ class Interval:
     def surface(self) -> float:
         return 2.0
 
+    @property
+    def saturation_clock(self) -> float:
+        """pi (|Omega|/|dOmega|)^2 = pi L^2/4, four times the clock at which
+        the flat-boundary deficit 4 sqrt(u/pi) reaches L; importance sampling
+        tunes its proposal to reach clock values this large."""
+        return np.pi * self.length * self.length / 4.0
+
 
 @dataclass(frozen=True)
 class Disk:
-    """Disk of radius R in the plane; Monte Carlo only."""
+    """Disk of radius R in the plane, with exact oracles from the J0 modes."""
 
     radius: float
 
@@ -80,6 +118,11 @@ class Disk:
     @property
     def surface(self) -> float:
         return 2.0 * np.pi * self.radius
+
+    @property
+    def saturation_clock(self) -> float:
+        """pi (|Omega|/|dOmega|)^2 = pi R^2/4, as for the interval."""
+        return np.pi * self.radius * self.radius / 4.0
 
 
 Domain = Interval | Disk
@@ -231,6 +274,79 @@ def exact_H_rate_interval(dom: Interval, u):
     return _shaped(scalar, out)
 
 
+def _horner(coef, x):
+    """sum of coef[k] x^k, in place"""
+    acc = np.full_like(x, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _disk_modes(x, weights):
+    """Sum over the J0 modes of weights[n] e^(-j_n^2 s) at s = x^2 >= 0.01,
+    accumulated one mode at a time up to the last one that any s needs."""
+    with np.errstate(over="ignore"):
+        neg_s = -(x * x)
+    n_modes = np.searchsorted(_DISK_J2 - _DISK_J2[0], -_MODE_CUT / neg_s.max())
+    out = np.zeros_like(neg_s)
+    term = np.empty_like(neg_s)
+    for j2, w in zip(_DISK_J2[:n_modes], weights):
+        np.multiply(neg_s, j2, out=term)
+        np.exp(term, out=term)
+        term *= w
+        out += term
+    return out
+
+
+def exact_deficit_disk(dom: Disk, u):
+    """Heat lost by time u under killing on the circle, pi R^2 - Q_R(u).
+
+    R^2 D(u/R^2) for the unit-disk deficit D: below s = u/R^2 = 0.01 the
+    short-time expansion 4 sqrt(pi s) - pi s - (sqrt(pi)/3) s^(3/2) - ...,
+    exact to rounding and free of cancellation (4 R sqrt(pi u) to full
+    relative precision down to u = 1e-300); above it pi R^2 less the J0 modes.
+    """
+    scalar, u_arr = _as_times(u)
+    R = dom.radius
+    x = np.sqrt(u_arr) / R
+    out = np.empty_like(u_arr)
+    lo = x < _DISK_SWITCH
+    if np.any(lo):
+        out[lo] = np.sqrt(u_arr[lo]) * R * _horner(_DISK_SERIES, x[lo])
+    hi = ~lo
+    if np.any(hi):
+        out[hi] = R * R * (np.pi - _disk_modes(x[hi], _DISK_Q_WEIGHTS))
+    return _shaped(scalar, out)
+
+
+def exact_deficit_rate_disk(dom: Disk, u):
+    """Rate of heat loss -Q_R'(u) = D'(u/R^2), the derivative of
+    exact_deficit_disk, from the same two forms: the differentiated expansion
+    2 sqrt(pi/s) - pi - ... below the switch, the sum of 4 pi e^(-j_n^2 s)
+    above it.  It blows up like 2 R sqrt(pi/u) at 0, where it is inf."""
+    scalar, u_arr = _as_times(u)
+    x = np.sqrt(u_arr) / dom.radius
+    out = np.full_like(u_arr, np.inf)
+    lo = (u_arr > 0.0) & (x < _DISK_SWITCH)
+    if np.any(lo):
+        out[lo] = _horner(_DISK_RATE_SERIES, x[lo]) / x[lo]
+    hi = x >= _DISK_SWITCH
+    if np.any(hi):
+        out[hi] = _disk_modes(x[hi], _DISK_RATE_WEIGHTS)
+    return _shaped(scalar, out)
+
+
+def exact_deficit(dom: Domain, u):
+    """Heat lost by time u, |Omega| - Q(u), from the domain's exact oracle."""
+    return (exact_deficit_disk if isinstance(dom, Disk) else exact_deficit_interval)(dom, u)
+
+
+def exact_deficit_rate(dom: Domain, u):
+    """Rate of heat loss -Q'(u) from the domain's exact oracle."""
+    return (exact_deficit_rate_disk if isinstance(dom, Disk) else exact_deficit_rate_interval)(dom, u)
+
+
 def disk_survival_block(
     R: float,
     u,
@@ -241,7 +357,8 @@ def disk_survival_block(
     n: int,
     n_steps: int = 64,
 ):
-    """Per-path survival probabilities for Brownian motion killed on the circle.
+    """Per-path survival probabilities for Brownian motion killed on the circle,
+    a Monte Carlo cross-check of exact_deficit_disk that no estimator uses.
 
     Paths start on stratified radii (area-uniform over the disk, stratified by
     global path index), take n_steps Euler steps of duration u/n_steps, and

@@ -143,14 +143,31 @@ def run_blocks(kernel, args, n, stream, workers=1):
     return rows[0] if len(rows) == 1 else rows
 
 
+def disjoint_spawns(stream, offsets, n):
+    """stream.spawn(o) for each offset, as the streams of n-path run_blocks calls.
+
+    Such a call reads the keys from its stream's key on, over n paths rounded
+    up to whole blocks, since a kernel spawns only below the next block's key.
+    Two ranges that overlap would share the draws of some blocks, and so
+    correlate the two estimates: that raises ValueError instead.
+    """
+    span = BLOCK * -(-n // BLOCK)
+    starts = sorted(offsets)
+    for a, b in zip(starts, starts[1:]):
+        if b - a < span:
+            raise ValueError(
+                f"stream keys {a} and {b} are {b - a} apart, but {n}-path runs read {span} keys each"
+            )
+    return [stream.spawn(o) for o in offsets]
+
+
 @dataclass(frozen=True)
 class TimeChangeSpec:
     """A subordinator or inverse-subordinator clock plus sampling strategy.
 
     grid_step is only consulted for grid-based inverse sampling; None means
     the default t * 1e-3 chosen at sampling time.  A set grid_step also keeps
-    an interval inverse estimate on the grid walk instead of the duality
-    estimator.
+    an inverse estimate on the grid walk instead of the duality estimator.
     """
 
     exponent: LaplaceExponent

@@ -292,6 +292,20 @@ def test_tiny_t_tempered_inverse_answers_in_bounded_time(capsys):
         assert code == 2 and "t = 1e-300" in captured.err
 
 
+def test_tiny_t_tempered_inverse_on_the_disk_answers_in_bounded_time(capsys):
+    # the disk takes the duality estimator too, scored with the disk oracle's
+    # rate, instead of a grid walk of about 1e9 steps
+    from subheat import Disk, TemperedStable, predict_spectral
+
+    argv = ["estimate", "--domain", "disk:1", "--time-change", "inv", "--exponent", "tempered:0.5,1"]
+    start = time.perf_counter()
+    assert main([*argv, "--t", "1e-12", "--paths", "64", "--format", "json"]) == 0
+    assert time.perf_counter() - start < 5.0
+    (spectral,) = json.loads(capsys.readouterr().out)
+    target = predict_spectral(TemperedStable(0.5, 1.0), Disk(1.0), Kind.INVERSE).constant
+    assert abs(spectral["ratio"] - target) <= max(4.0 * spectral["stderr"] / spectral["rate_value"], 0.02 * target)
+
+
 def test_rate_value_inverts_phi_on_stiff_mixed_ladder(capsys):
     # rate_value is [phi_inverse(1/t)]^(-1/2); the 0.05 component stretches
     # phi_inverse's bracket about 130 decades past the root at t = 1e-8

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from subheat import (
     Disk,
@@ -19,12 +19,15 @@ from subheat import (
     estimate_spectral_disk,
     estimate_spectral_inverse,
     estimate_spectral_subordinate,
+    exact_deficit_disk,
     exact_deficit_interval,
+    exact_deficit_rate_disk,
     exact_deficit_rate_interval,
     exact_H_interval,
     exact_H_rate_interval,
     exact_Q_interval,
     parse_exponent,
+    phi,
     subordinate_deficit_series,
 )
 from subheat import samplers
@@ -80,10 +83,11 @@ def test_spectral_subordinate_matches_series_oracle(exp, t, kmax):
         (estimate_spectral_disk, Stable(0.5), Disk(1.0), (Kind.INVERSE,)),
         (estimate_spectral_inverse, TemperedStable(0.5, 1.0), UNIT, ()),
         (estimate_regular, MixedStable(((0.25, 1.0), (0.5, 1.0))), UNIT, (Kind.INVERSE,)),
+        (estimate_spectral_disk, TemperedStable(0.5, 1.0), Disk(1.0), (Kind.INVERSE,)),
     ],
     ids=[
         "spectral-sub", "spectral-inv", "regular-sub", "regular-inv", "disk-sub", "disk-inv",
-        "spectral-inv-duality", "regular-inv-duality",
+        "spectral-inv-duality", "regular-inv-duality", "disk-inv-duality",
     ],
 )
 def test_worker_bit_identity(estimate, exp, dom, extra):
@@ -233,6 +237,54 @@ def test_disk_inverse_estimate_is_sane_and_deterministic():
     assert deficit == pytest.approx(pred, rel=0.05)
 
 
+def _disk_subordinate_deficit(exp, t, head=20_000):
+    # E[pi - Q(D_t)] on the unit disk: the sum over the zeros j_n of J0 of
+    # 4 pi/j_n^2 (1 - e^(-t phi(j_n^2))), with zeros tabulated up to n = 100
+    # and by McMahon's expansion beyond; the terms past the head are the
+    # integral of the same term at j = pi (x - 1/4) from head + 1/2 on (the
+    # midpoint rule), taken in log x
+    b = (np.arange(101.0, head + 1.0) - 0.25) * np.pi
+    zeros = np.concatenate([special.jn_zeros(0, 100), b + 1.0 / (8.0 * b) - 124.0 / (3.0 * (8.0 * b) ** 3)])
+
+    def term(j):
+        return 4.0 * np.pi / j**2 * -np.expm1(-t * phi(exp, j * j))
+
+    y0 = math.log(head + 0.5)
+    tail, _ = integrate.quad(
+        lambda y: float(term(np.pi * (math.exp(y) - 0.25))) * math.exp(y), y0, y0 + 80.0, limit=400
+    )
+    return float(np.sum(term(zeros))) + tail
+
+
+@pytest.mark.parametrize(
+    "exp,t,weighted",
+    [(Stable(0.75), 1e-2, False), (Stable(0.75), 1e-3, False), (Stable(0.25), 1e-8, True)],
+)
+def test_disk_subordinate_matches_the_j0_series(exp, t, weighted):
+    # plain draws at high index; deep at index 1/4 the deficit is a rare
+    # event of the clock, and the importance-sampled draws score the disk
+    disk = Disk(1.0)
+    assert _importance_sampled(exp, t, disk.saturation_clock) is weighted
+    est = estimate_spectral_disk(exp, disk, t, 65_536, RandomStream(12), Kind.SUBORDINATOR)
+    target = _disk_subordinate_deficit(exp, t)
+    assert abs(est.deficit - target) <= 4.0 * est.stderr
+    assert est.stderr <= 0.03 * target
+
+
+def test_disk_inverse_matches_quadrature():
+    # E_t for the 1/2-stable clock is |N(0, 2t)|
+    t = 1e-3
+    disk = Disk(1.0)
+
+    def integrand(z):
+        return 2.0 * exact_deficit_disk(disk, math.sqrt(2.0 * t) * z) * math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+
+    target, _ = integrate.quad(integrand, 0.0, 40.0, limit=200)
+    est = estimate_spectral_disk(Stable(0.5), disk, t, 65_536, RandomStream(23), Kind.INVERSE)
+    assert abs(est.deficit - target) <= 4.0 * est.stderr
+    assert est.stderr <= 0.005 * target
+
+
 def test_importance_sampling_beats_plain_for_deep_t():
     # at t = 1e-6 the plain estimator has essentially zero effective samples;
     # the weighted one must put its estimate within a few percent of truth
@@ -294,7 +346,7 @@ def test_rate_oracles_are_derivatives_of_the_exact_oracles(u):
     assert exact_H_rate_interval(UNIT, 0.0) == math.inf
 
 
-def _half_tempered_inverse(theta, t, rate):
+def _half_tempered_inverse(theta, t, rate, dom=UNIT):
     # E f(E_t) = int f'(u) P(D_u < t) du, where D_u is inverse Gaussian with
     # mean u / (2 sqrt(theta)) and shape u^2 / 2; u = v^2 removes the
     # u^(-1/2) of f' at 0
@@ -303,7 +355,7 @@ def _half_tempered_inverse(theta, t, rate):
 
     scale = math.sqrt(2.0 * t)
     val, _ = integrate.quad(
-        lambda v: rate(UNIT, v * v) * cdf(v * v) * 2.0 * v if v > 0.0 else 0.0,
+        lambda v: rate(dom, v * v) * cdf(v * v) * 2.0 * v if v > 0.0 else 0.0,
         0.0,
         math.sqrt(40.0 * scale),
         points=[math.sqrt(c * scale) for c in (0.25, 1.0, 3.0, 10.0)],
@@ -323,6 +375,24 @@ def test_duality_matches_inverse_gaussian_quadrature(t):
         target = _half_tempered_inverse(1.0, t, rate)
         assert abs(est.deficit - target) <= 4.0 * est.stderr
         assert est.stderr <= 0.015 * target
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3])
+def test_disk_duality_matches_inverse_gaussian_quadrature(t):
+    disk = Disk(1.0)
+    est = estimate_spectral_disk(TemperedStable(0.5, 1.0), disk, t, 65_536, RandomStream(21), Kind.INVERSE)
+    target = _half_tempered_inverse(1.0, t, exact_deficit_rate_disk, disk)
+    assert abs(est.deficit - target) <= 4.0 * est.stderr
+    assert est.stderr <= 0.015 * target
+
+
+def test_disk_duality_matches_the_grid_walk():
+    exp, t, disk, n = TemperedStable(0.5, 1.0), 1e-3, Disk(1.0), 512
+    spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step=t * 1e-2)
+    walk = exact_deficit_disk(disk, samplers.sample_inverse(spec, t, RandomStream(5), n))
+    dual = estimate_spectral_disk(exp, disk, t, 65_536, RandomStream(7), Kind.INVERSE)
+    se = math.hypot(float(walk.std(ddof=1)) / math.sqrt(n), dual.stderr)
+    assert abs(float(walk.mean()) - dual.deficit) <= 4.0 * se
 
 
 @pytest.mark.parametrize("t", [1e-3, 1e-5])

@@ -12,7 +12,9 @@ from subheat import (
     RandomStream,
     Stable,
     TemperedStable,
+    exact_deficit_disk,
     exact_deficit_interval,
+    exact_deficit_rate_disk,
     exact_H_interval,
     exact_Q_interval,
     kanter_angle,
@@ -220,6 +222,92 @@ def test_deficit_series_against_exact_half_stable_clock():
     series, tail = subordinate_deficit_series(dom, Stable(0.5), t, kmax=60_000_000)
     assert series == pytest.approx(val, rel=3e-6)
     assert tail < 3e-6 * series
+
+
+# ------------------------------------------------------------- disk oracle
+
+DISK = Disk(1.0)
+
+
+def _disk_series_mpmath(mpmath, head=30):
+    """D(s) = sum over the zeros j_n of J0 of 4 pi (1 - e^(-j_n^2 s))/j_n^2:
+    mpmath's zeros for n <= head, McMahon's expansion beyond, whose first
+    omitted term is below 1e-20 relative there, summed by Euler-Maclaurin."""
+    zeros = [mpmath.besseljzero(0, n) for n in range(1, head + 1)]
+
+    def mcmahon(x):
+        b = (x - mpmath.mpf(1) / 4) * mpmath.pi
+        c = 8 * b
+        return b + 1 / c - mpmath.mpf(124) / (3 * c**3) + mpmath.mpf(120928) / (15 * c**5) - (
+            mpmath.mpf(401743168) / (105 * c**7)
+        )
+
+    def deficit(s):
+        s = mpmath.mpf(s)
+
+        def term(j):
+            return 4 * mpmath.pi * -mpmath.expm1(-j * j * s) / (j * j)
+
+        tail = mpmath.sumem(lambda x: term(mcmahon(x)), [head + 1, mpmath.inf])
+        return mpmath.fsum(term(j) for j in zeros) + tail
+
+    return deficit
+
+
+def test_disk_deficit_matches_the_j0_series():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 25
+    series = _disk_series_mpmath(mpmath)
+    for s in np.geomspace(1e-12, 10.0, 27):
+        want = series(float(s))
+        assert abs(exact_deficit_disk(DISK, float(s)) / want - 1) <= 1e-13, s
+    vec = exact_deficit_disk(DISK, np.geomspace(1e-12, 10.0, 27))
+    assert [exact_deficit_disk(DISK, float(s)) for s in np.geomspace(1e-12, 10.0, 27)] == list(vec)
+    assert exact_deficit_disk(DISK, 0.0) == 0.0
+    assert exact_deficit_disk(DISK, 1e300) == math.pi
+    with pytest.raises(ValueError):
+        exact_deficit_disk(DISK, -1e-9)
+
+
+def test_disk_deficit_short_time_form_to_full_precision():
+    # 4 sqrt(pi s) - pi s, the flat-boundary term and the curvature term;
+    # the next term is below 1e-20 relative from s = 1e-20 down
+    for s in np.geomspace(1e-300, 1e-20, 57):
+        s = float(s)
+        assert exact_deficit_disk(DISK, s) == pytest.approx(4.0 * math.sqrt(math.pi * s) - math.pi * s, rel=3e-16)
+
+
+def test_disk_deficit_continuous_at_the_switch():
+    # the expansion and the modes meet at s = 0.01, each side within a few
+    # ulps of the series, so the jump is the slope times the gap of 2e-15
+    lo = exact_deficit_disk(DISK, 0.01 * (1.0 - 1e-13))
+    hi = exact_deficit_disk(DISK, 0.01 * (1.0 + 1e-13))
+    slope = exact_deficit_rate_disk(DISK, 0.01)
+    assert abs(hi - lo - slope * 0.01 * 2e-13) <= 4e-15
+    rate_lo = exact_deficit_rate_disk(DISK, 0.01 * (1.0 - 1e-13))
+    rate_hi = exact_deficit_rate_disk(DISK, 0.01 * (1.0 + 1e-13))
+    curvature = (exact_deficit_rate_disk(DISK, 0.0101) - exact_deficit_rate_disk(DISK, 0.0099)) / 2e-4
+    assert abs(rate_hi - rate_lo - curvature * 0.01 * 2e-13) <= 1e-14 * rate_hi
+
+
+@pytest.mark.parametrize("R", [1e-3, 1.0, 1e3])
+def test_disk_deficit_scales_with_r_squared(R):
+    s = np.geomspace(1e-12, 10.0, 40)
+    got = exact_deficit_disk(Disk(R), s * R * R)
+    assert np.allclose(got, R * R * exact_deficit_disk(DISK, s), rtol=1e-14, atol=0.0)
+    rate = exact_deficit_rate_disk(Disk(R), s * R * R)
+    assert np.allclose(rate, exact_deficit_rate_disk(DISK, s), rtol=1e-14, atol=0.0)
+
+
+# up to s = 1, past which the central difference of D, close to pi, loses
+# more digits than the test allows
+@pytest.mark.parametrize("s", [1e-10, 1e-6, 1e-3, 0.00999, 0.01001, 0.1, 1.0])
+def test_disk_rate_is_the_derivative_of_the_deficit(s):
+    h = 1e-5 * s
+    diff = (exact_deficit_disk(DISK, s + h) - exact_deficit_disk(DISK, s - h)) / (2.0 * h)
+    assert exact_deficit_rate_disk(DISK, s) == pytest.approx(diff, rel=1e-6)
+    assert exact_deficit_rate_disk(DISK, np.array([s]))[0] == exact_deficit_rate_disk(DISK, s)
+    assert exact_deficit_rate_disk(DISK, 0.0) == math.inf
 
 
 def test_interval_walker_matches_exact_q():

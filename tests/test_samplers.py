@@ -21,6 +21,8 @@ from subheat import (
     sample_subordinator,
     sample_tempered,
 )
+from subheat import samplers
+from subheat.samplers import BLOCK
 
 
 def _mean_se(x):
@@ -187,3 +189,16 @@ def test_time_change_spec_validation():
             TimeChangeSpec(Stable(0.5), Kind.INVERSE, grid_step=step)
     spec = TimeChangeSpec(Stable(0.5), Kind.SUBORDINATOR)
     assert spec.exponent == Stable(0.5)
+
+
+def test_disjoint_spawns_refuses_overlapping_key_ranges():
+    # the inverse-limit suite's spectral and regular streams sit 2^19 keys
+    # apart, so they share blocks once a run has more than 2^19 paths
+    base = RandomStream(3, 7)
+    offsets = [i * 2**20 + q * 2**19 for i in range(3) for q in range(2)]
+    keys = samplers.disjoint_spawns(base, offsets, 2**19)
+    assert [k.stream_key for k in keys] == [7 + o for o in offsets]
+    with pytest.raises(ValueError, match="apart"):
+        samplers.disjoint_spawns(base, offsets, 2**19 + 1)
+    with pytest.raises(ValueError, match="apart"):
+        samplers.disjoint_spawns(base, (0, BLOCK), BLOCK + 1)
