@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as gamma_fn, gammainc
 
-from .heat_oracles import Disk, Interval, exact_deficit_interval, exact_H_interval
+from .heat_oracles import Interval
 from .levy_exponents import (
     LaplaceExponent,
     Regime,
@@ -152,24 +152,22 @@ def lowindex_constant(exp, dom: Interval, quantity: str = "spectral", epsrel: fl
     residual (exponentially small below L^2/10) plus a log-substituted tail.
     """
     L = dom.length
-    if quantity == "spectral":
-        kappa = 4.0 / math.sqrt(math.pi)
-        content = lambda u: exact_deficit_interval(dom, u)
-    else:
-        kappa = 2.0 / math.sqrt(math.pi)
-        content = lambda u: exact_H_interval(dom, u)
+    content = dom.ORACLES[quantity][0]
+    # the flat-boundary short-time coefficient of f: 2/sqrt(pi) per boundary
+    # point for the deficit, half that for H
+    kappa = (4.0 if quantity == "spectral" else 2.0) / math.sqrt(math.pi)
 
     part_singular = kappa * _sqrt_weight_integral(exp)
 
     def residual(u):
-        return (content(u) - kappa * math.sqrt(u)) * levy_density(exp, u)
+        return (content(dom, u) - kappa * math.sqrt(u)) * levy_density(exp, u)
 
     pts = sorted({min(max(L * L / 10.0, 1e-10), 0.999), 0.5})
     part_res, _ = integrate.quad(residual, 1e-12, 1.0, limit=400, points=pts, epsrel=epsrel)
 
     def tail(v):
         u = math.exp(v)
-        return content(u) * levy_density(exp, u) * u
+        return content(dom, u) * levy_density(exp, u) * u
 
     part_tail, _ = integrate.quad(tail, 0.0, 300.0, limit=400, epsrel=epsrel)
     return part_singular + part_res + part_tail

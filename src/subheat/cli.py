@@ -32,8 +32,8 @@ from .asymptotics import (
 )
 from .diagnostics import check_inverse_moments, check_levy_convergence, check_small_ball
 from .estimators import (
+    estimate,
     estimate_regular,
-    estimate_spectral_disk,
     estimate_spectral_inverse,
     estimate_spectral_subordinate,
 )
@@ -203,14 +203,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _estimate_spectral(exp, dom, t, n, stream, kind, workers):
-    if isinstance(dom, Disk):
-        return estimate_spectral_disk(exp, dom, t, n, stream, kind, workers=workers)
-    if kind is Kind.SUBORDINATOR:
-        return estimate_spectral_subordinate(exp, dom, t, n, stream, workers=workers)
-    return estimate_spectral_inverse(exp, dom, t, n, stream, workers=workers)
-
-
 def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000, n_max=1_600_000, workers=1):
     """Double n until the stderr is at most rel_target of the estimated deficit.
 
@@ -219,7 +211,7 @@ def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000
     """
     n = n0
     while True:
-        est = _estimate_spectral(exp, dom, t, n, stream, kind, workers)
+        est = estimate(TimeChangeSpec(exp, kind), dom, t, n, stream, workers=workers)
         if est.stderr <= rel_target * est.deficit or n >= n_max:
             return est
         n *= 2
@@ -248,7 +240,9 @@ def cmd_predict(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_REGULAR_KEY_OFFSET = 2**40
+# each quantity's rows read their own stream, keyed by the quantity's place
+# in the domain's ORACLES table: spectral from key 0, regular from 2^40
+_QUANTITY_KEY_STRIDE = 2**40
 
 
 def _rate_at(pred, t) -> float:
@@ -268,18 +262,17 @@ def _rate_at(pred, t) -> float:
 def cmd_estimate(cfg: RunConfig) -> str:
     exp = parse_exponent(cfg.exponent)
     dom = parse_domain(cfg.domain)
-    kind = Kind(cfg.time_change)
-    base = RandomStream(cfg.seed)
+    spec = TimeChangeSpec(exp, Kind(cfg.time_change))
+    offsets = [i * _QUANTITY_KEY_STRIDE for i in range(len(dom.ORACLES))]
+    streams = samplers.disjoint_spawns(RandomStream(cfg.seed), offsets, cfg.paths)
     rows = []
-    pred = predict_spectral(exp, dom, kind)
+    pred = predict_spectral(exp, dom, spec.kind)
     # the regular prediction's rate is the same function; every rung's rate
     # comes first, so that a rung out of range fails before any estimate runs
     for t, rate in [(t, _rate_at(pred, t)) for t in cfg.ladder()]:
-        ests = [("spectral", _estimate_spectral(exp, dom, t, cfg.paths, base, kind, cfg.workers))]
-        if isinstance(dom, Interval):
-            reg = base.spawn(_REGULAR_KEY_OFFSET)
-            ests.append(("regular", estimate_regular(exp, dom, t, cfg.paths, reg, kind, workers=cfg.workers)))
-        rows += [(q, t, e.value, e.stderr, rate, e.deficit / rate, e.n_paths) for q, e in ests]
+        for quantity, stream in zip(dom.ORACLES, streams):
+            e = estimate(spec, dom, t, cfg.paths, stream, quantity, workers=cfg.workers)
+            rows.append((quantity, t, e.value, e.stderr, rate, e.deficit / rate, e.n_paths))
     if cfg.fmt == "json":
         payload = [
             {
@@ -438,18 +431,20 @@ def _suite_moments(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     n = 200_000 if quick else 1_000_000
     out = []
     stream = _suite_stream(cfg, 8)
+    # stable draws from key i 2^20, inverse ones from 2^30 + i 2^20, the
+    # moment ladder from 2^31
+    offsets = [i * 2**20 for i in range(3)] + [2**30 + i * 2**20 for i in range(3)] + [2**31]
+    keys = samplers.disjoint_spawns(stream, offsets, n)
     for i, (beta, gam) in enumerate(((0.75, 0.25), (0.5, 0.2), (0.25, 0.1))):
-        d = samplers.sample_stable(beta, 1.0, stream.spawn(i * 2**20), n)
+        d = samplers.sample_stable(beta, 1.0, keys[i], n)
         target = stable_moment(beta, gam)
         out.append(_sample_mean_check(f"stable-moment-b{beta:g}-g{gam:g}", d**gam, target))
     for i, (beta, p) in enumerate(((0.25, 0.5), (0.5, 0.5), (0.75, 1.0))):
         spec = TimeChangeSpec(Stable(beta), Kind.INVERSE)
-        e = samplers.sample_inverse(spec, 1.0, stream.spawn(2**30 + i * 2**20), n)
+        e = samplers.sample_inverse(spec, 1.0, keys[3 + i], n)
         target = inverse_moment(beta, p)
         out.append(_sample_mean_check(f"inverse-moment-b{beta:g}-p{p:g}", e**p, target))
-    report = check_inverse_moments(
-        Stable(0.5), 0.5, (1e-1, 1e-3, 1e-6), n // 2, stream.spawn(2**31)
-    )
+    report = check_inverse_moments(Stable(0.5), 0.5, (1e-1, 1e-3, 1e-6), n // 2, keys[6])
     target = report.target
     all_points = all(
         abs(stat - target) <= max(4.0 * se, 0.02 * target) for _, stat, se in report.points
@@ -477,8 +472,9 @@ def _suite_small_ball(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     n = 100_000 if quick else 400_000
     out = []
     ladder = tuple(np.geomspace(1e-2, 1e-4, 5))
-    for i, beta in enumerate((0.25, 0.5)):
-        report = check_small_ball(Stable(beta), 1.0, ladder, n, _suite_stream(cfg, 10).spawn(i * 2**20))
+    keys = samplers.disjoint_spawns(_suite_stream(cfg, 10), [0, 2**20], n)
+    for beta, key in zip((0.25, 0.5), keys):
+        report = check_small_ball(Stable(beta), 1.0, ladder, n, key)
         out.append(
             CheckResult(
                 f"small-ball-b{beta:g}", report.target, report.fitted_slope, 0.1, report.passed

@@ -1,22 +1,28 @@
 """Monte Carlo estimators of spectral and regular heat contents.
 
-All estimation is Rao-Blackwellized: a path of the time change is drawn, then
-the exact heat lost at that clock value, from the interval or the disk oracle,
-replaces the Brownian indicator. Deep-time subordinator runs (leading index <= 1/2)
-additionally use importance sampling on the Kanter representation while the
-deficit |Omega| - Q is a rare event of the clock, because plain draws almost
-never land where it is nonzero once t is of order 1e-8.
+One entry point, estimate(spec, dom, t, n, stream, quantity), serves every
+domain and quantity: the domain's ORACLES table maps the quantity to its
+exact heat lost f(dom, u) and rate f'(u), and nothing else depends on the
+domain.  All estimation is Rao-Blackwellized: a path of the time change is
+drawn, then f at that clock value replaces the Brownian indicator.  Deep-time
+spectral subordinator runs (leading index <= 1/2) additionally use importance
+sampling on the Kanter representation while the deficit |Omega| - Q is a rare
+event of the clock, because plain draws almost never land where it is
+nonzero once t is of order 1e-8.
 
-Inverse clocks without a closed-form E_t are estimated on either domain by
-duality at small times: since {E_t > u} = {D_u < t}, E f(E_t) is the integral
-of f'(u) P(D_u < t), and each path scores one exact draw of D_u at a random
-u instead of walking a grid to the first passage of t.
+Inverse clocks without a closed-form E_t are estimated by duality at small
+times: since {E_t > u} = {D_u < t}, E f(E_t) is the integral of
+f'(u) P(D_u < t), and each path scores one exact draw of D_u at a random u
+instead of walking a grid to the first passage of t.
 
 Each estimator is a block kernel, a few lines that turn one block's clock
 draws into the heat lost per path, run by the block engine samplers.run_blocks:
 one counter-based stream per block of BLOCK paths, block moments combined by a
 pairwise tree in block order, so estimates are bit-identical for any worker
-count. _estimate is the one place where the mean heat lost becomes a content.
+count. estimate is the one place where the mean heat lost becomes a content.
+The kernels' args are plain data, (spec, dom, t, quantity, ...), and each
+kernel looks its oracle up in dom.ORACLES, so that a process pool can pickle
+them.
 """
 
 from __future__ import annotations
@@ -27,14 +33,6 @@ import time
 import numpy as np
 
 from . import samplers
-from .heat_oracles import (
-    Disk,
-    Interval,
-    exact_deficit,
-    exact_deficit_rate,
-    exact_H_interval,
-    exact_H_rate_interval,
-)
 from .levy_exponents import MixedStable, Regime, Stable, phi, regime
 from .samplers import (
     Estimate,
@@ -110,6 +108,7 @@ def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
     """Weighted draws of the spectral deficit |Omega| - Q(D_t) via importance
     sampling; tempered exponents ride the stable proposal through an exact
     exponential tilt of the marginal density."""
+    deficit = dom.ORACLES["spectral"][0]
     if isinstance(exp, MixedStable):
         # Telescope the deficit d = |Omega| - Q over components: with partial
         # sums S_j = D_1 + ... + D_j, write d(S_N) as the sum over j of
@@ -124,8 +123,8 @@ def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
         s_prev = np.zeros(n)
         for i, (b, wt) in enumerate(exp.components):
             di, wi = _is_stable_draws(b, wt * t, u_cap, n, stream.spawn(1 + 2 * i))
-            d_lo = exact_deficit(dom, s_prev)
-            d_hi = exact_deficit(dom, np.minimum(s_prev + di, 1e300))
+            d_lo = deficit(dom, s_prev)
+            d_hi = deficit(dom, np.minimum(s_prev + di, 1e300))
             out = out + (d_hi - d_lo) * wi
             if i + 1 < len(exp.components):
                 plain = samplers.sample_stable(b, wt * t, stream.spawn(2 + 2 * i), n)
@@ -135,7 +134,7 @@ def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
     if exp.theta > 0.0:
         with np.errstate(under="ignore"):
             w = w * np.exp(-exp.theta * d + t * exp.theta**exp.beta)
-    return exact_deficit(dom, d) * w
+    return deficit(dom, d) * w
 
 
 def _importance_sampled(exp, t, u_cap):
@@ -147,19 +146,15 @@ def _importance_sampled(exp, t, u_cap):
     )
 
 
-def _spectral_kernel(args, stream, lo, size, n):
-    # both branches return deficit draws |Omega| - Q
-    spec, dom, t = args
+def _draw_kernel(args, stream, lo, size, n):
+    # f(clock) for the quantity's oracle f; only spectral subordinator rows
+    # are importance-sampled, regular ones draw the clock plainly
+    spec, dom, t, quantity = args
     exp = spec.exponent
     u_cap = dom.saturation_clock
-    if spec.kind is Kind.SUBORDINATOR and _importance_sampled(exp, t, u_cap):
+    if quantity == "spectral" and spec.kind is Kind.SUBORDINATOR and _importance_sampled(exp, t, u_cap):
         return _deficit_is_draws(exp, t, dom, u_cap, size, stream)
-    return exact_deficit(dom, sample_clock(spec, t, stream, size))
-
-
-def _regular_kernel(args, stream, lo, size, n):
-    spec, dom, t = args
-    return exact_H_interval(dom, sample_clock(spec, t, stream, size))
+    return dom.ORACLES[quantity][0](dom, sample_clock(spec, t, stream, size))
 
 
 def _tilt_rate(exp):
@@ -174,8 +169,9 @@ def _duality_kernel(args, stream, lo, size, n):
     # 1/(2 sqrt(u u_max)), which cancels the u^(-1/2) of f' at 0; one exact
     # D_u per path, tilted by e^(u theta^b - theta D_u) when tempered, scores
     # the indicator
-    spec, dom, t, rate, u_max = args
+    spec, dom, t, quantity, u_max = args
     exp = spec.exponent
+    rate = dom.ORACLES[quantity][1]
     v = 1.0 - stream.uniforms(size)  # in (0, 1], so f'(u) stays finite
     u = u_max * v * v
     d = samplers.sample_untempered(exp, u, stream)
@@ -201,8 +197,8 @@ def _duality_horizon(exp, t):
     return float(np.exp(log_bound.min()))
 
 
-def _clock_kernel(kernel, rate, spec, dom, t):
-    """Kernel and args of an estimate of f(clock) with f' = rate.
+def _clock_kernel(spec, dom, t, quantity):
+    """Kernel and args of an estimate of f(clock) for the quantity's oracle f.
 
     A non-stable inverse clock without a set grid step takes the duality
     kernel in the small-time regime u0 theta^b <= 1, u0 = 1/phi(1/t) being
@@ -215,79 +211,53 @@ def _clock_kernel(kernel, rate, spec, dom, t):
         spec.kind is Kind.INVERSE
         and spec.grid_step is None
         and not isinstance(exp, Stable)
-        and 0.0 < t < math.inf
         and _tilt_rate(exp) <= phi(exp, 1.0 / t)
     ):
-        return _duality_kernel, (spec, dom, t, rate, _duality_horizon(exp, t))
-    return kernel, (spec, dom, t)
+        return _duality_kernel, (spec, dom, t, quantity, _duality_horizon(exp, t))
+    return _draw_kernel, (spec, dom, t, quantity)
 
 
-def _estimate(kernel, args, n, stream, workers, *, want=Interval, content=True):
-    """Run kernel, whose args start with (spec, dom, t), over n paths.
+def estimate(spec, dom, t, n, stream, quantity="spectral", *, workers=1):
+    """Spectral or regular heat content of dom at time t under the clock spec.
 
-    Every kernel returns the heat lost per path. Its mean, clamped to the
-    physical range [0, |Omega|], is the estimate's deficit; a content row's
-    value is |Omega| minus it, a regular row's value the deficit itself.
+    quantity names an entry of dom.ORACLES: "spectral" for the content of
+    the motion killed at the boundary, "regular" for the heat mass H pushed
+    into the complement.  Each path scores the quantity's exact heat lost f
+    at one clock draw: importance-sampled for deep low-index spectral
+    subordinator rows, by duality for non-stable inverse clocks at small
+    times unless spec.grid_step is set, and plainly otherwise.  The mean
+    heat lost, clamped to [0, |Omega|], is the estimate's deficit; a
+    spectral value is |Omega| minus it, a regular value the deficit itself.
     """
-    _, dom, t = args[:3]
-    if not isinstance(dom, want):
-        other = "estimate_spectral_disk" if want is Interval else "the interval estimators"
+    if quantity not in dom.ORACLES:
         raise UnsupportedConfigurationError(
-            f"domain {type(dom).__name__} not supported here; use {other}"
+            f"{type(dom).__name__} has no {quantity} heat-content oracle; "
+            f"it supports {', '.join(dom.ORACLES)}"
         )
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError(f"t must be positive and finite, got {t}")
     if n < 2:
         raise ValueError("need at least 2 paths")
     start = time.perf_counter()
+    kernel, args = _clock_kernel(spec, dom, t, quantity)
     mean, se = run_blocks(kernel, args, n, stream, workers)
     deficit = min(max(mean, 0.0), dom.volume)
-    value = dom.volume - deficit if content else deficit
+    value = dom.volume - deficit if quantity == "spectral" else deficit
     return Estimate(value, deficit, se, n, stream.seed, time.perf_counter() - start)
 
 
 def estimate_spectral_subordinate(exp, dom, t, n, stream, *, workers=1):
-    """Spectral heat content of Brownian motion subordinated by exp at time t.
-
-    Conditioning on the clock D_t reduces each path to the exact interval heat
-    lost |Omega| - Q(D_t); deep-time low-index runs switch to importance
-    sampling.
-    """
-    spec = TimeChangeSpec(exp, Kind.SUBORDINATOR)
-    return _estimate(_spectral_kernel, (spec, dom, t), n, stream, workers)
+    """Spectral heat content of Brownian motion subordinated by exp at time t."""
+    return estimate(TimeChangeSpec(exp, Kind.SUBORDINATOR), dom, t, n, stream, workers=workers)
 
 
 def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1, grid_step=None):
-    """Spectral heat content under an inverse subordinator clock.
-
-    The inverse clock is continuous, so the killed and time-changed-then-
-    killed contents coincide and one estimator serves both.  Stable clocks
-    draw E_t in closed form; other clocks score one exact D_u per path by
-    duality at small times, or walk the grid, always so when grid_step is set.
-    """
-    spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step)
-    kernel, args = _clock_kernel(_spectral_kernel, exact_deficit_rate, spec, dom, t)
-    return _estimate(kernel, args, n, stream, workers)
+    """Spectral heat content under an inverse subordinator clock; the clock
+    is continuous, so the killed and time-changed-then-killed contents
+    coincide and one estimator serves both.  A set grid_step walks the grid."""
+    return estimate(TimeChangeSpec(exp, Kind.INVERSE, grid_step), dom, t, n, stream, workers=workers)
 
 
 def estimate_regular(exp, dom, t, n, stream, kind, *, workers=1, grid_step=None):
-    """Regular heat content: expected heat mass in the complement at time t.
-
-    An inverse clock is drawn as in estimate_spectral_inverse.
-    """
-    spec = TimeChangeSpec(exp, Kind(kind), grid_step)
-    kernel, args = _clock_kernel(_regular_kernel, exact_H_rate_interval, spec, dom, t)
-    return _estimate(kernel, args, n, stream, workers, content=False)
-
-
-def estimate_spectral_disk(exp, dom, t, n, stream, kind, *, workers=1):
-    """Spectral heat content of a disk under a subordinator or inverse clock.
-
-    The interval estimators' kernels read the exact disk deficit instead:
-    each path scores pi R^2 - Q_R at its clock draw, with importance sampling
-    for deep low-index subordinators and duality for non-stable inverse
-    clocks at small times.
-    """
-    spec = TimeChangeSpec(exp, Kind(kind))
-    kernel, args = _clock_kernel(_spectral_kernel, exact_deficit_rate, spec, dom, t)
-    return _estimate(kernel, args, n, stream, workers, want=Disk)
+    """Regular heat content: expected heat mass in the complement at time t."""
+    return estimate(TimeChangeSpec(exp, Kind(kind), grid_step), dom, t, n, stream, "regular", workers=workers)

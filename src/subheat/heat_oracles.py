@@ -14,6 +14,11 @@ needs 4 modes, the next being below 1e-36 at the switch. The heat content Q
 is the complement. The rates -Q'(u) and H'(u), which the duality estimator of
 inverse clocks integrates, come term by term from the same forms.
 
+Each domain class carries its oracles in one table, ORACLES, which maps a
+quantity ("spectral" for the deficit |Omega| - Q, "regular" for H) to the
+pair (f, f'); the estimators and the low-index constants read f from there,
+so a domain supports exactly the quantities its table names.
+
 The disk of radius R loses R^2 D(u/R^2), D being the unit disk's deficit:
 below s = 0.01 its short-time expansion 4 sqrt(pi s) - pi s - (sqrt(pi)/3)
 s^(3/2) - ... (van den Berg & Le Gall 1994), a polynomial in sqrt(s) with
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import jn_zeros, ndtr
@@ -64,86 +70,6 @@ _MODE_CUT = 42.0  # modes with e^(-(j_n^2 - j_1^2) s) below e^-42 are left out
 # domain sizes whose squares, inverse squares and squared contents stay far
 # inside double range, which the oracles and the second moments need
 _SIZE_RANGE = (1e-50, 1e50)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Bounded open interval (a, b), with exact closed-form oracles."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a < self.b and math.isfinite(self.b - self.a)):
-            raise ValueError(f"interval needs a < b at finite distance, got ({self.a}, {self.b})")
-        if not _SIZE_RANGE[0] <= self.length <= _SIZE_RANGE[1]:
-            raise ValueError(f"interval length must lie in {list(_SIZE_RANGE)}, got {self.length:g}")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    @property
-    def volume(self) -> float:
-        return self.b - self.a
-
-    @property
-    def surface(self) -> float:
-        return 2.0
-
-    @property
-    def saturation_clock(self) -> float:
-        """pi (|Omega|/|dOmega|)^2 = pi L^2/4, four times the clock at which
-        the flat-boundary deficit 4 sqrt(u/pi) reaches L; importance sampling
-        tunes its proposal to reach clock values this large."""
-        return np.pi * self.length * self.length / 4.0
-
-
-@dataclass(frozen=True)
-class Disk:
-    """Disk of radius R in the plane, with exact oracles from the J0 modes."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
-        if not _SIZE_RANGE[0] <= self.radius <= _SIZE_RANGE[1]:
-            raise ValueError(f"disk radius must lie in {list(_SIZE_RANGE)}, got {self.radius:g}")
-
-    @property
-    def volume(self) -> float:
-        return np.pi * self.radius**2
-
-    @property
-    def surface(self) -> float:
-        return 2.0 * np.pi * self.radius
-
-    @property
-    def saturation_clock(self) -> float:
-        """pi (|Omega|/|dOmega|)^2 = pi R^2/4, as for the interval."""
-        return np.pi * self.radius * self.radius / 4.0
-
-
-Domain = Interval | Disk
-
-
-def parse_domain(text: str) -> Domain:
-    """Parse `interval:<a>,<b>` or `disk:<R>`."""
-    head, sep, rest = text.strip().partition(":")
-    if not sep:
-        raise ValueError(f"malformed domain spec {text!r}: expected kind:params")
-    try:
-        if head == "interval":
-            parts = rest.split(",")
-            if len(parts) != 2:
-                raise ValueError("interval expects a,b")
-            return Interval(float(parts[0]), float(parts[1]))
-        if head == "disk":
-            return Disk(float(rest))
-    except ValueError as exc:
-        raise ValueError(f"malformed domain spec {text!r}: {exc}") from None
-    raise ValueError(f"unknown domain kind {head!r}")
 
 
 def _r(x):
@@ -229,12 +155,14 @@ def exact_H_interval(dom: Interval, u):
     the interval.  Where a < 1 (u > L^2/2) phi(0) - phi(a) cancels, and it is
     taken as -phi(0) expm1(-a^2/2), so that H tends to L to rounding as
     u >> L^2; where a >= 1 the difference loses nothing, and is kept as one
-    so that H keeps its bytes there.
+    so that H keeps its bytes there.  Past u = 2^1023, where 2u overflows,
+    H is L to rounding.
     """
     scalar, u_arr = _as_times(u)
     L = dom.length
-    out = np.zeros_like(u_arr)
-    pos = u_arr > 0.0
+    flat = u_arr >= 2.0**1023
+    out = np.where(flat, L, 0.0)
+    pos = (u_arr > 0.0) & ~flat
     if np.any(pos):
         # in place, in the operation order of the closed form
         sig = u_arr[pos]
@@ -272,6 +200,48 @@ def exact_H_rate_interval(dom: Interval, u):
         with np.errstate(over="ignore"):
             out[pos] = -2.0 / _SQRT_2PI * np.expm1(-0.5 * a * a) / sig
     return _shaped(scalar, out)
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Bounded open interval (a, b), with exact closed-form oracles.
+
+    ORACLES maps each quantity an estimate can ask for to (f, f'): f(dom, u)
+    is the heat lost by clock value u, and f' its rate in u, which the
+    duality estimator of inverse clocks integrates.
+    """
+
+    a: float
+    b: float
+    ORACLES: ClassVar[dict] = {
+        "spectral": (exact_deficit_interval, exact_deficit_rate_interval),
+        "regular": (exact_H_interval, exact_H_rate_interval),
+    }
+
+    def __post_init__(self):
+        if not (self.a < self.b and math.isfinite(self.b - self.a)):
+            raise ValueError(f"interval needs a < b at finite distance, got ({self.a}, {self.b})")
+        if not _SIZE_RANGE[0] <= self.length <= _SIZE_RANGE[1]:
+            raise ValueError(f"interval length must lie in {list(_SIZE_RANGE)}, got {self.length:g}")
+
+    @property
+    def length(self) -> float:
+        return self.b - self.a
+
+    @property
+    def volume(self) -> float:
+        return self.b - self.a
+
+    @property
+    def surface(self) -> float:
+        return 2.0
+
+    @property
+    def saturation_clock(self) -> float:
+        """pi (|Omega|/|dOmega|)^2 = pi L^2/4, four times the clock at which
+        the flat-boundary deficit 4 sqrt(u/pi) reaches L; importance sampling
+        tunes its proposal to reach clock values this large."""
+        return np.pi * self.length * self.length / 4.0
 
 
 def _horner(coef, x):
@@ -337,14 +307,53 @@ def exact_deficit_rate_disk(dom: Disk, u):
     return _shaped(scalar, out)
 
 
-def exact_deficit(dom: Domain, u):
-    """Heat lost by time u, |Omega| - Q(u), from the domain's exact oracle."""
-    return (exact_deficit_disk if isinstance(dom, Disk) else exact_deficit_interval)(dom, u)
+@dataclass(frozen=True)
+class Disk:
+    """Disk of radius R in the plane, with exact oracles from the J0 modes;
+    ORACLES as for Interval, with no regular heat content yet."""
+
+    radius: float
+    ORACLES: ClassVar[dict] = {"spectral": (exact_deficit_disk, exact_deficit_rate_disk)}
+
+    def __post_init__(self):
+        if not (self.radius > 0.0 and math.isfinite(self.radius)):
+            raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
+        if not _SIZE_RANGE[0] <= self.radius <= _SIZE_RANGE[1]:
+            raise ValueError(f"disk radius must lie in {list(_SIZE_RANGE)}, got {self.radius:g}")
+
+    @property
+    def volume(self) -> float:
+        return np.pi * self.radius**2
+
+    @property
+    def surface(self) -> float:
+        return 2.0 * np.pi * self.radius
+
+    @property
+    def saturation_clock(self) -> float:
+        """pi (|Omega|/|dOmega|)^2 = pi R^2/4, as for the interval."""
+        return np.pi * self.radius * self.radius / 4.0
 
 
-def exact_deficit_rate(dom: Domain, u):
-    """Rate of heat loss -Q'(u) from the domain's exact oracle."""
-    return (exact_deficit_rate_disk if isinstance(dom, Disk) else exact_deficit_rate_interval)(dom, u)
+Domain = Interval | Disk
+
+
+def parse_domain(text: str) -> Domain:
+    """Parse `interval:<a>,<b>` or `disk:<R>`."""
+    head, sep, rest = text.strip().partition(":")
+    if not sep:
+        raise ValueError(f"malformed domain spec {text!r}: expected kind:params")
+    try:
+        if head == "interval":
+            parts = rest.split(",")
+            if len(parts) != 2:
+                raise ValueError("interval expects a,b")
+            return Interval(float(parts[0]), float(parts[1]))
+        if head == "disk":
+            return Disk(float(rest))
+    except ValueError as exc:
+        raise ValueError(f"malformed domain spec {text!r}: {exc}") from None
+    raise ValueError(f"unknown domain kind {head!r}")
 
 
 def disk_survival_block(

@@ -116,14 +116,20 @@ def phi(exp: LaplaceExponent, s):
 
     A tempered term is w theta^b expm1(b log1p(s/theta)), which equals
     w ((s + theta)^b - theta^b) without its cancellation at s << theta.
+    Where s/theta overflows, (1 + theta/s)^b is 1 to rounding and the term
+    is w (s^b - theta^b), which cannot overflow.
     """
     th = exp.theta
     x = _positive(s, "phi requires s > 0")
     if th > 0.0:
-        terms = (w * th**b * np.expm1(b * np.log1p(x / th)) for b, w in exp.components)
+        with np.errstate(over="ignore"):
+            ratio = x / th
+        out = sum(w * th**b * np.expm1(b * np.log1p(ratio)) for b, w in exp.components)
+        if th < 1.0 and np.isinf(ratio).any():  # s/theta overflows only for theta < 1
+            out = np.where(np.isinf(ratio), sum(w * (x**b - th**b) for b, w in exp.components), out)
     else:
-        terms = (w * x**b for b, w in exp.components)
-    return _shaped_like(s, sum(terms))
+        out = sum(w * x**b for b, w in exp.components)
+    return _shaped_like(s, out)
 
 
 def phi_prime(exp: LaplaceExponent, s):

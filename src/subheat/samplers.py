@@ -227,13 +227,18 @@ def kanter_angle_tail(v, beta: float):
     return (n1**b * n2 ** (1.0 - b) / den) ** (1.0 / (1.0 - b))
 
 
-def _stable_block(beta: float, t: float, stream: RandomStream, shape):
-    """iid S_t variates of the given shape via Kanter's representation."""
+def _kanter_variates(beta: float, stream: RandomStream, shape):
+    """Kanter's A(U) and E of the given shape: S_1 = (A(U)/E)^((1-beta)/beta)."""
     u = stream.uniforms(shape)
     np.maximum(u, _OPEN_EPS, out=u)
     e = stream.exponentials(shape)
     np.maximum(e, 1e-300, out=e)
-    s = kanter_angle(u, beta)
+    return kanter_angle(u, beta), e
+
+
+def _stable_block(beta: float, t: float, stream: RandomStream, shape):
+    """iid S_t variates of the given shape via Kanter's representation."""
+    s, e = _kanter_variates(beta, stream, shape)
     with np.errstate(over="ignore"):
         s /= e
         s **= (1.0 - beta) / beta
@@ -432,6 +437,10 @@ def sample_inverse(spec: TimeChangeSpec, t: float, stream: RandomStream, size=No
     Exact for stable exponents via E_t = (t / S_1)^beta; grid first passage
     with conditional bisection refinement otherwise. Raises
     RunawaySamplerError if a walk exceeds 1e9 steps without crossing.
+    At small beta the power (1-beta)/beta of S_1 = (A/E)^((1-beta)/beta)
+    leaves double range; where S_1 or t/S_1 is not a normal float, or S_1
+    reaches the 1e300 cap, E_t = t^beta (E/A)^(1-beta) comes from the same
+    Kanter variates without it.
     """
     if spec.kind is not Kind.INVERSE:
         raise ValueError("sample_inverse requires an InverseSubordinator spec")
@@ -440,8 +449,18 @@ def sample_inverse(spec: TimeChangeSpec, t: float, stream: RandomStream, size=No
     n = 1 if size is None else int(size)
     exp = spec.exponent
     if isinstance(exp, Stable):
-        s = _stable_block(exp.beta, 1.0, stream, n)
-        out = (t / s) ** exp.beta
+        b = exp.beta
+        a, e = _kanter_variates(b, stream, n)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            s = np.divide(a, e)
+            s **= (1.0 - b) / b
+            np.minimum(s, 1e300, out=s)
+            out = np.divide(t, s)
+            lost = s >= 1e300
+            lost |= ~np.isfinite(out)
+            lost |= np.minimum(s, out, out=s) < np.finfo(float).tiny
+            out **= b
+        out[lost] = t**b * (e[lost] / a[lost]) ** (1.0 - b)
     else:
         h = spec.grid_step if spec.grid_step is not None else t * 1e-3
         out = _grid_inverse_block(exp, t, h, spec.refine_bisections, stream, n)

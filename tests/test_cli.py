@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subheat import (
     Interval,
@@ -447,3 +454,102 @@ def test_adaptive_spectral_respects_cap():
         rel_target=1e-9, n0=4096, n_max=8192,
     )
     assert est.n_paths == 8192
+
+
+# --------------------------------------------------------- grammar property
+
+_CASE_BUDGET_S = 10.0
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+_BETAS = st.floats(1e-3, 0.999)
+_EXPONENTS = st.one_of(
+    _BETAS.map(lambda b: f"stable:{b!r}"),
+    st.tuples(_BETAS, _log_uniform(1e-300, 1e3)).map(lambda p: f"tempered:{p[0]!r},{p[1]!r}"),
+    st.lists(st.tuples(_BETAS, _log_uniform(1e-2, 1e2)), min_size=1, max_size=3, unique_by=lambda c: c[0]).map(
+        lambda cs: "mixed:" + "+".join(f"{b!r}*{w!r}" for b, w in sorted(cs))
+    ),
+)
+_DOMAINS = st.one_of(
+    _log_uniform(1e-2, 1e2).map(lambda L: f"interval:0,{L!r}"),
+    _log_uniform(1e-2, 1e2).map(lambda R: f"disk:{R!r}"),
+)
+
+
+def _numbers(text, fmt):
+    if fmt == "json":
+        return [v for row in json.loads(text) for v in row.values() if isinstance(v, float)]
+    out = []
+    for line in text.splitlines()[1:]:
+        for field in line.split(","):
+            try:
+                out.append(float(field))
+            except ValueError:
+                pass
+    return out
+
+
+def _alarm(signum, frame):
+    raise _OverBudget
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    exponent=_EXPONENTS,
+    domain=_DOMAINS,
+    kind=st.sampled_from(["sub", "inv"]),
+    t=_log_uniform(1e-12, 10.0),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_every_grammar_input_answers_or_exits_with_its_code(exponent, domain, kind, t, fmt):
+    # t stops at 10: plain tempered draws cost grows like t theta^b, which
+    # the strict xfail below keeps in view
+    common = ["--exponent", exponent, "--domain", domain, "--time-change", kind, "--format", fmt]
+    for argv in (["predict", *common], ["estimate", *common, "--t", repr(t), "--paths", "64"]):
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, _CASE_BUDGET_S)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except _OverBudget:
+            pytest.fail(f"{' '.join(argv)} ran past {_CASE_BUDGET_S} s")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        if code == 0:
+            values = _numbers(out.getvalue(), fmt)
+            assert values and all(math.isfinite(v) for v in values), (argv, out.getvalue())
+        else:
+            assert err.getvalue(), argv
+
+
+@pytest.mark.xfail(strict=True, reason="known hangs, kept visible until the samplers are mended")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # plain tempered draws loop ceil(t theta^b) chunks in Python
+        ["--exponent", "tempered:0.75,1", "--t", "1e6"],
+        # past the duality regime the grid walk's increments h^(1/b) S_1
+        # are 0 or 0 * inf = nan at b = 2^-7, so the walk never crosses t
+        ["--exponent", "tempered:0.0078125,1", "--time-change", "inv", "--t", "1"],
+    ],
+    ids=["tempered-large-t", "tempered-small-index-walk"],
+)
+def test_estimate_answers_in_bounded_time(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cmd = [sys.executable, "-m", "subheat.cli", "estimate", *argv, "--paths", "64"]
+    try:
+        done = subprocess.run(cmd, env=env, capture_output=True, timeout=5.0)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{' '.join(argv)} ran past 5 s")
+    assert done.returncode == 0

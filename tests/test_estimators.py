@@ -15,8 +15,8 @@ from subheat import (
     TemperedStable,
     TimeChangeSpec,
     UnsupportedConfigurationError,
+    estimate,
     estimate_regular,
-    estimate_spectral_disk,
     estimate_spectral_inverse,
     estimate_spectral_subordinate,
     exact_deficit_disk,
@@ -31,7 +31,7 @@ from subheat import (
     subordinate_deficit_series,
 )
 from subheat import samplers
-from subheat.estimators import _importance_sampled, _regular_kernel
+from subheat.estimators import _draw_kernel, _importance_sampled
 from subheat.samplers import BLOCK, combine_blocks
 
 UNIT = Interval(0.0, 1.0)
@@ -73,29 +73,30 @@ def test_spectral_subordinate_matches_series_oracle(exp, t, kmax):
 
 
 @pytest.mark.parametrize(
-    "estimate,exp,dom,extra",
+    "exp,dom,kind,quantity",
     [
-        (estimate_spectral_subordinate, Stable(0.75), UNIT, ()),
-        (estimate_spectral_inverse, Stable(0.5), UNIT, ()),
-        (estimate_regular, Stable(0.5), UNIT, (Kind.SUBORDINATOR,)),
-        (estimate_regular, Stable(0.5), UNIT, (Kind.INVERSE,)),
-        (estimate_spectral_disk, Stable(0.75), Disk(1.0), (Kind.SUBORDINATOR,)),
-        (estimate_spectral_disk, Stable(0.5), Disk(1.0), (Kind.INVERSE,)),
-        (estimate_spectral_inverse, TemperedStable(0.5, 1.0), UNIT, ()),
-        (estimate_regular, MixedStable(((0.25, 1.0), (0.5, 1.0))), UNIT, (Kind.INVERSE,)),
-        (estimate_spectral_disk, TemperedStable(0.5, 1.0), Disk(1.0), (Kind.INVERSE,)),
+        (Stable(0.75), UNIT, Kind.SUBORDINATOR, "spectral"),
+        (Stable(0.5), UNIT, Kind.INVERSE, "spectral"),
+        (Stable(0.5), UNIT, Kind.SUBORDINATOR, "regular"),
+        (Stable(0.5), UNIT, Kind.INVERSE, "regular"),
+        (Stable(0.75), Disk(1.0), Kind.SUBORDINATOR, "spectral"),
+        (Stable(0.5), Disk(1.0), Kind.INVERSE, "spectral"),
+        (TemperedStable(0.5, 1.0), UNIT, Kind.INVERSE, "spectral"),
+        (MixedStable(((0.25, 1.0), (0.5, 1.0))), UNIT, Kind.INVERSE, "regular"),
+        (TemperedStable(0.5, 1.0), Disk(1.0), Kind.INVERSE, "spectral"),
     ],
     ids=[
         "spectral-sub", "spectral-inv", "regular-sub", "regular-inv", "disk-sub", "disk-inv",
         "spectral-inv-duality", "regular-inv-duality", "disk-inv-duality",
     ],
 )
-def test_worker_bit_identity(estimate, exp, dom, extra):
+def test_worker_bit_identity(exp, dom, kind, quantity):
     # the pool pickles each kernel and its arguments; a ragged last block
     # checks that the block keys do not depend on the schedule
     n = 2 * BLOCK + 17
-    a = estimate(exp, dom, 1e-3, n, RandomStream(9), *extra, workers=1)
-    b = estimate(exp, dom, 1e-3, n, RandomStream(9), *extra, workers=2)
+    spec = TimeChangeSpec(exp, kind)
+    a = estimate(spec, dom, 1e-3, n, RandomStream(9), quantity, workers=1)
+    b = estimate(spec, dom, 1e-3, n, RandomStream(9), quantity, workers=2)
     assert a.value == b.value
     assert a.deficit == b.deficit
     assert a.stderr == b.stderr
@@ -123,9 +124,9 @@ def test_run_blocks_validates_and_caps_workers(monkeypatch):
     spec = TimeChangeSpec(Stable(0.75), Kind.SUBORDINATOR)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be at least 1"):
-            samplers.run_blocks(_regular_kernel, (spec, UNIT, 1e-3), 3 * BLOCK, RandomStream(4), workers)
-    serial = samplers.run_blocks(_regular_kernel, (spec, UNIT, 1e-3), 3 * BLOCK, RandomStream(4))
-    capped = samplers.run_blocks(_regular_kernel, (spec, UNIT, 1e-3), 3 * BLOCK, RandomStream(4), 10**6)
+            samplers.run_blocks(_draw_kernel, (spec, UNIT, 1e-3, "regular"), 3 * BLOCK, RandomStream(4), workers)
+    serial = samplers.run_blocks(_draw_kernel, (spec, UNIT, 1e-3, "regular"), 3 * BLOCK, RandomStream(4))
+    capped = samplers.run_blocks(_draw_kernel, (spec, UNIT, 1e-3, "regular"), 3 * BLOCK, RandomStream(4), 10**6)
     cpus = os.cpu_count() or 1
     assert capped == serial
     assert sizes == ([min(3, cpus)] if cpus > 1 else [])
@@ -168,10 +169,12 @@ def test_estimator_argument_validation():
         estimate_spectral_subordinate(Stable(0.5), UNIT, 0.0, 1024, RandomStream(0))
     with pytest.raises(ValueError):
         estimate_spectral_subordinate(Stable(0.5), UNIT, 1e-3, 1, RandomStream(0))
+    # a quantity missing from the domain's oracle table is refused
+    spec = TimeChangeSpec(Stable(0.5), Kind.SUBORDINATOR)
+    with pytest.raises(UnsupportedConfigurationError, match="Disk has no regular"):
+        estimate(spec, Disk(1.0), 1e-3, 1024, RandomStream(0), "regular")
     with pytest.raises(UnsupportedConfigurationError):
-        estimate_spectral_subordinate(Stable(0.5), Disk(1.0), 1e-3, 1024, RandomStream(0))
-    with pytest.raises(UnsupportedConfigurationError):
-        estimate_spectral_disk(Stable(0.5), UNIT, 1e-3, 1024, RandomStream(0), Kind.SUBORDINATOR)
+        estimate(spec, UNIT, 1e-3, 1024, RandomStream(0), "content")
 
 
 def _half_clock_average(f, t):
@@ -223,8 +226,8 @@ def test_regular_inverse_matches_quadrature():
 def test_disk_inverse_estimate_is_sane_and_deterministic():
     t = 1e-3
     disk = Disk(1.0)
-    a = estimate_spectral_disk(Stable(0.5), disk, t, 16_384, RandomStream(31), Kind.INVERSE)
-    b = estimate_spectral_disk(Stable(0.5), disk, t, 16_384, RandomStream(31), Kind.INVERSE)
+    a = estimate(TimeChangeSpec(Stable(0.5), Kind.INVERSE), disk, t, 16_384, RandomStream(31))
+    b = estimate(TimeChangeSpec(Stable(0.5), Kind.INVERSE), disk, t, 16_384, RandomStream(31))
     assert a.value == b.value
     assert 0.0 < a.value < disk.volume
     # averaging the flat-plus-curvature boundary expansion over the clock:
@@ -265,7 +268,7 @@ def test_disk_subordinate_matches_the_j0_series(exp, t, weighted):
     # event of the clock, and the importance-sampled draws score the disk
     disk = Disk(1.0)
     assert _importance_sampled(exp, t, disk.saturation_clock) is weighted
-    est = estimate_spectral_disk(exp, disk, t, 65_536, RandomStream(12), Kind.SUBORDINATOR)
+    est = estimate(TimeChangeSpec(exp, Kind.SUBORDINATOR), disk, t, 65_536, RandomStream(12))
     target = _disk_subordinate_deficit(exp, t)
     assert abs(est.deficit - target) <= 4.0 * est.stderr
     assert est.stderr <= 0.03 * target
@@ -280,7 +283,7 @@ def test_disk_inverse_matches_quadrature():
         return 2.0 * exact_deficit_disk(disk, math.sqrt(2.0 * t) * z) * math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
 
     target, _ = integrate.quad(integrand, 0.0, 40.0, limit=200)
-    est = estimate_spectral_disk(Stable(0.5), disk, t, 65_536, RandomStream(23), Kind.INVERSE)
+    est = estimate(TimeChangeSpec(Stable(0.5), Kind.INVERSE), disk, t, 65_536, RandomStream(23))
     assert abs(est.deficit - target) <= 4.0 * est.stderr
     assert est.stderr <= 0.005 * target
 
@@ -380,7 +383,7 @@ def test_duality_matches_inverse_gaussian_quadrature(t):
 @pytest.mark.parametrize("t", [1e-5, 1e-3])
 def test_disk_duality_matches_inverse_gaussian_quadrature(t):
     disk = Disk(1.0)
-    est = estimate_spectral_disk(TemperedStable(0.5, 1.0), disk, t, 65_536, RandomStream(21), Kind.INVERSE)
+    est = estimate(TimeChangeSpec(TemperedStable(0.5, 1.0), Kind.INVERSE), disk, t, 65_536, RandomStream(21))
     target = _half_tempered_inverse(1.0, t, exact_deficit_rate_disk, disk)
     assert abs(est.deficit - target) <= 4.0 * est.stderr
     assert est.stderr <= 0.015 * target
@@ -390,7 +393,7 @@ def test_disk_duality_matches_the_grid_walk():
     exp, t, disk, n = TemperedStable(0.5, 1.0), 1e-3, Disk(1.0), 512
     spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step=t * 1e-2)
     walk = exact_deficit_disk(disk, samplers.sample_inverse(spec, t, RandomStream(5), n))
-    dual = estimate_spectral_disk(exp, disk, t, 65_536, RandomStream(7), Kind.INVERSE)
+    dual = estimate(TimeChangeSpec(exp, Kind.INVERSE), disk, t, 65_536, RandomStream(7))
     se = math.hypot(float(walk.std(ddof=1)) / math.sqrt(n), dual.stderr)
     assert abs(float(walk.mean()) - dual.deficit) <= 4.0 * se
 
@@ -410,6 +413,20 @@ def test_duality_matches_the_grid_walk(text, t):
         walk = f(UNIT, e)
         se = math.hypot(float(walk.std(ddof=1)) / math.sqrt(n), dual.stderr)
         assert abs(float(walk.mean()) - dual.deficit) <= 4.0 * se
+
+
+def test_small_index_and_tiny_tempering_inverse_estimates():
+    # E_1 at b = 1e-3 is of order 1, far inside (0, 100), so the deficit is
+    # 4 E[sqrt(E_1)]/sqrt(pi) to about e^-1000
+    est = estimate_spectral_inverse(Stable(1e-3), Interval(0.0, 100.0), 1.0, 65_536, RandomStream(3))
+    target = 4.0 / math.sqrt(math.pi) * special.gamma(1.5) / special.gamma(1.0 + 0.5e-3)
+    assert abs(est.deficit - target) <= 4.0 * est.stderr
+    # theta = 1e-300 tempers nothing: both domains give the stable values
+    for dom in (UNIT, Disk(1.0)):
+        tiny = estimate_spectral_inverse(TemperedStable(0.5, 1e-300), dom, 1e-3, 65_536, RandomStream(5))
+        stable = estimate_spectral_inverse(Stable(0.5), dom, 1e-3, 65_536, RandomStream(6))
+        assert math.isfinite(tiny.deficit) and tiny.stderr > 0.0
+        assert abs(tiny.deficit - stable.deficit) <= 4.0 * math.hypot(tiny.stderr, stable.stderr)
 
 
 def test_walk_kept_past_small_times():

@@ -168,6 +168,8 @@ def test_exact_h_matches_mpmath_without_cancellation():
     assert exact_H_interval(UNIT, 1e32) == pytest.approx(1.0, rel=2e-16)
     for u in (1e34, 1e40, 1e300):
         assert exact_H_interval(UNIT, u) == 1.0
+    # 2u overflows past 2^1023
+    assert exact_H_interval(UNIT, 1e308) == exact_H_interval(UNIT, math.inf) == 1.0
     assert exact_H_interval(Interval(0.0, 1e-50), 1e-4) == pytest.approx(1e-50, rel=1e-15)
 
 

@@ -67,6 +67,14 @@ def test_tempered_phi_is_cancellation_free(s):
     assert abs(phi(exp, np.array([s]))[0] / ref - 1.0) <= 1e-13
 
 
+def test_tempered_phi_with_tiny_theta_stays_finite():
+    # s/theta overflows, and phi is s^b - theta^b = s^b to rounding
+    exp = TemperedStable(0.5, 1e-300)
+    for s in (1e9, 1e300):
+        assert phi(exp, s) == pytest.approx(s**0.5, rel=1e-15)
+    assert phi(exp, np.array([1e-12, 1e9]))[1] == phi(exp, 1e9)
+
+
 @pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6])
 def test_tempered_phi_inverse_is_cancellation_free(y):
     exp = TemperedStable(0.75, 1.0)

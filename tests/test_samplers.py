@@ -22,6 +22,7 @@ from subheat import (
     sample_tempered,
 )
 from subheat import samplers
+from subheat.asymptotics import inverse_moment
 from subheat.samplers import BLOCK
 
 
@@ -131,6 +132,17 @@ def test_inverse_half_matches_folded_normal_law():
 
     res = stats.kstest(e, cdf)
     assert res.pvalue > 0.01
+
+
+def test_inverse_small_index_moments():
+    # at b = 1e-3, S_1 = (A/E)^999 leaves double range for most draws, while
+    # E_1 itself is of order 1
+    beta, n = 1e-3, 200_000
+    e = sample_inverse(TimeChangeSpec(Stable(beta), Kind.INVERSE), 1.0, RandomStream(3), n)
+    assert np.all(np.isfinite(e))
+    for p in (0.5, 1.0):
+        mean, se = _mean_se(e**p)
+        assert abs(mean - inverse_moment(beta, p)) <= 4.0 * se
 
 
 # a single-component mixture is the same clock as Stable(0.5) but takes the
