@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as gamma_fn, gammainc
 
 from .heat_oracles import Interval
@@ -151,6 +150,8 @@ def lowindex_constant(exp, dom: Interval, quantity: str = "spectral", epsrel: fl
     process. Split as closed-form kappa sqrt(u) part on (0,1) plus a smooth
     residual (exponentially small below L^2/10) plus a log-substituted tail.
     """
+    from scipy import integrate  # imported here, where it is used, to keep start-up short
+
     L = dom.length
     content = dom.ORACLES[quantity][0]
     # the flat-boundary short-time coefficient of f: 2/sqrt(pi) per boundary

@@ -514,7 +514,7 @@ def _suite_oracle(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     # where an exact answer exists
     n = 100_000 if quick else 400_000
     u_w = 0.02
-    walk, _ = run_blocks(_bridge_walk_kernel, u_w, n, _suite_stream(cfg, 11))
+    walk, _ = run_blocks(_bridge_walk_kernel, u_w, n, _suite_stream(cfg, 11), cfg.workers)
     exact = exact_Q_interval(_UNIT, u_w)
     rel_walk = abs(walk - exact) / exact
     out.append(_check("bridge-walk-vs-oracle", 0.0, rel_walk, 0.005))

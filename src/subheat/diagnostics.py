@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import samplers
 from .estimators import _is_stable_draws
@@ -77,6 +76,7 @@ def _test_function(tag: str, beta: float):
 
 def _levy_integral(exp, f) -> float:
     """Quadrature of f against the Levy measure, log-substituted on both ends."""
+    from scipy import integrate  # imported here, where it is used, to keep start-up short
 
     def integrand(w):
         return float(f(math.exp(w))) * levy_density(exp, math.exp(w)) * math.exp(w)

@@ -66,6 +66,11 @@ _DISK_SWITCH = 0.1  # in x = sqrt(u)/R, i.e. s = 0.01
 _DISK_J2 = jn_zeros(0, 20) ** 2
 _DISK_Q_WEIGHTS = 4.0 * np.pi / _DISK_J2  # Q(s) = sum of these times e^(-j_n^2 s)
 _DISK_RATE_WEIGHTS = np.full(_DISK_J2.size, 4.0 * np.pi)  # and -Q'(s)
+# r(x) and Phi(-x) are 0.0 in double precision past x = 38.6, so where a >= 40
+# every image term and the a Phi(-a) and phi(a) of H drop out exactly; every
+# e^(-(k pi/L)^2 u) is 0.0 once (pi/L)^2 u > 745.2, and so past 760
+_IMAGE_CUT = 40.0
+_EIGEN_CUT = 760.0
 _MODE_CUT = 42.0  # modes with e^(-(j_n^2 - j_1^2) s) below e^-42 are left out
 # domain sizes whose squares, inverse squares and squared contents stay far
 # inside double range, which the oracles and the second moments need
@@ -103,13 +108,19 @@ def exact_deficit_interval(dom: Interval, u):
     if np.any(lo):
         sig = np.sqrt(2.0 * u_arr[lo])
         a = L / sig
-        images = _r(a) - _r(2.0 * a) + _r(3.0 * a) - _r(4.0 * a)
+        images = np.zeros_like(a)
+        near = a < _IMAGE_CUT
+        if np.any(near):
+            a = a[near]
+            images[near] = _r(a) - _r(2.0 * a) + _r(3.0 * a) - _r(4.0 * a)
         out[lo] = sig * (4.0 / _SQRT_2PI - 8.0 * images)
-    hi = u_arr >= L * L / 10.0
+    u_flat = _EIGEN_CUT * (L / np.pi) ** 2
+    hi = (u_arr >= L * L / 10.0) & (u_arr < u_flat)
     if np.any(hi):
         k = _EIGEN_K[:, None]
         terms = 8.0 * L / (k * np.pi) ** 2 * np.exp(-((k * np.pi / L) ** 2) * u_arr[hi][None, :])
         out[hi] = L - terms.sum(axis=0)
+    out[u_arr >= u_flat] = L
     return _shaped(scalar, out)
 
 
@@ -164,27 +175,33 @@ def exact_H_interval(dom: Interval, u):
     out = np.where(flat, L, 0.0)
     pos = (u_arr > 0.0) & ~flat
     if np.any(pos):
-        # in place, in the operation order of the closed form
+        # in place, in the operation order of the closed form; where
+        # a >= 40 it is its limit phi(0) 2 sigma
         sig = u_arr[pos]
         sig *= 2.0
         np.sqrt(sig, out=sig)
         a = np.divide(L, sig)
-        val = np.negative(a)
-        ndtr(val, out=val)
-        val *= a
-        near = a < 1.0
-        tail_near = val[near]
-        val += 1.0 / _SQRT_2PI
-        gauss = np.multiply(-0.5, a)
-        gauss *= a
-        np.exp(gauss, out=gauss)
-        gauss /= _SQRT_2PI
-        val -= gauss
-        if tail_near.size:
-            val[near] = tail_near - np.expm1(-0.5 * a[near] ** 2) / _SQRT_2PI
+        res = np.full_like(a, 1.0 / _SQRT_2PI)
+        keep = a < _IMAGE_CUT
+        if np.any(keep):
+            a = a[keep]
+            val = np.negative(a)
+            ndtr(val, out=val)
+            val *= a
+            near = a < 1.0
+            tail_near = val[near]
+            val += 1.0 / _SQRT_2PI
+            gauss = np.multiply(-0.5, a)
+            gauss *= a
+            np.exp(gauss, out=gauss)
+            gauss /= _SQRT_2PI
+            val -= gauss
+            if tail_near.size:
+                val[near] = tail_near - np.expm1(-0.5 * a[near] ** 2) / _SQRT_2PI
+            res[keep] = val
         sig *= 2.0
-        val *= sig
-        out[pos] = val
+        res *= sig
+        out[pos] = res
     return _shaped(scalar, out)
 
 

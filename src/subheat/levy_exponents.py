@@ -21,7 +21,6 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn, gammaincc
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,8 @@ def phi_inverse(exp: LaplaceExponent, y: float) -> float:
 
     lo = min((log_y - math.log(k) - lw) / b for b, lw in terms)
     hi = max((log_y - lw) / b for b, lw in terms)
+    from scipy.optimize import brentq  # imported here, its only use, to keep start-up short
+
     return math.exp(brentq(excess, lo, hi, xtol=1e-15))
 
 

@@ -10,7 +10,8 @@ subordinator or the inverse sampler by the kind of a TimeChangeSpec.
 sample_untempered draws D_u at one clock time per path, which the duality
 estimator of inverse clocks scores in place of the grid walk at small times.
 run_blocks, the package's one Monte Carlo block driver, sits next to the
-streams it keys.
+streams it keys; its multi-worker calls share one process pool per process,
+made on first use and joined at interpreter exit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import enum
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +119,30 @@ def _block_moments(task):
     return [(float(row.sum()), float((row * row).sum()), row.size) for row in np.atleast_2d(x)]
 
 
+_pool = None  # the process's one worker pool, made by _worker_pool
+_pool_size = 0
+
+
+def _drop_pool():
+    """Shut the worker pool down and join it, so that the next fork happens
+    with no manager thread alive."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown(wait=True)
+        _pool = None
+
+
+def _worker_pool(size):
+    """The process's worker pool of size processes, made on first use; a
+    pool of another size is dropped first."""
+    global _pool, _pool_size
+    if _pool_size != size:
+        _drop_pool()
+    if _pool is None:
+        _pool, _pool_size = ProcessPoolExecutor(max_workers=size), size
+    return _pool
+
+
 def run_blocks(kernel, args, n, stream, workers=1):
     """Mean and stderr of n per-path values, computed in blocks of BLOCK paths.
 
@@ -125,18 +151,23 @@ def run_blocks(kernel, args, n, stream, workers=1):
     own stream; a kernel may return several rows of values from the same
     draws, and then one (mean, stderr) pair per row is returned.  Blocks are
     combined by combine_blocks in block order, so results are bit-identical
-    for any worker count; more than one worker runs the blocks in a process
-    pool of at most one process per block and per CPU.
+    for any worker count.  With more than one worker and more than one block
+    the blocks run in the process's one pool of min(workers, CPUs) processes,
+    which every such call reuses; a call that breaks the pool drops it and
+    re-raises BrokenProcessPool, and the next call starts a fresh one.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if n < 1:
         raise ValueError(f"need at least 1 path, got {n}")
     tasks = [(kernel, args, stream, lo, min(BLOCK, n - lo), n) for lo in range(0, n, BLOCK)]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_block_moments, tasks))
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1 and len(tasks) > 1:
+        try:
+            parts = list(_worker_pool(workers).map(_block_moments, tasks))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     else:
         parts = [_block_moments(task) for task in tasks]
     rows = [combine_blocks(blocks) for blocks in zip(*parts)]

@@ -553,3 +553,28 @@ def test_estimate_answers_in_bounded_time(argv):
     except subprocess.TimeoutExpired:
         pytest.fail(f"{' '.join(argv)} ran past 5 s")
     assert done.returncode == 0
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two CPUs")
+def test_estimate_with_workers_exits_and_leaves_no_process():
+    # the command and its pool's workers run in a session of their own; the
+    # output pipes close only when every one of them has exited, and after
+    # that no process may be left in the group
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cmd = [sys.executable, "-m", "subheat.cli", "estimate", "--t", "1e-3", "--paths", "65536", "--workers", "2"]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60.0)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("estimate --workers 2 ran past 60 s")
+    assert proc.returncode == 0, err.decode()
+    assert out.decode().splitlines()[1].startswith("0.001,spectral,"), out.decode()
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        return
+    os.killpg(proc.pid, signal.SIGKILL)
+    pytest.fail("a process of the command outlived it")

@@ -31,6 +31,7 @@ from subheat import (
     subordinate_deficit_series,
 )
 from subheat import samplers
+from subheat.diagnostics import _inverse_moment_kernel
 from subheat.estimators import _draw_kernel, _importance_sampled
 from subheat.samplers import BLOCK, combine_blocks
 
@@ -91,8 +92,8 @@ def test_spectral_subordinate_matches_series_oracle(exp, t, kmax):
     ],
 )
 def test_worker_bit_identity(exp, dom, kind, quantity):
-    # the pool pickles each kernel and its arguments; a ragged last block
-    # checks that the block keys do not depend on the schedule
+    # the shared worker pool pickles each kernel and its arguments; a ragged
+    # last block checks that the block keys do not depend on the schedule
     n = 2 * BLOCK + 17
     spec = TimeChangeSpec(exp, kind)
     a = estimate(spec, dom, 1e-3, n, RandomStream(9), quantity, workers=1)
@@ -108,19 +109,14 @@ def test_run_blocks_validates_and_caps_workers(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(samplers, "ProcessPoolExecutor", InlinePool)
+    def inline_pool(size):
+        sizes.append(size)
+        return InlinePool()
+
+    monkeypatch.setattr(samplers, "_worker_pool", inline_pool)
     spec = TimeChangeSpec(Stable(0.75), Kind.SUBORDINATOR)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be at least 1"):
@@ -129,7 +125,49 @@ def test_run_blocks_validates_and_caps_workers(monkeypatch):
     capped = samplers.run_blocks(_draw_kernel, (spec, UNIT, 1e-3, "regular"), 3 * BLOCK, RandomStream(4), 10**6)
     cpus = os.cpu_count() or 1
     assert capped == serial
-    assert sizes == ([min(3, cpus)] if cpus > 1 else [])
+    # one pool size for every block count, so that calls share the pool
+    assert sizes == ([cpus] if cpus > 1 else [])
+
+
+_NEEDS_TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two CPUs")
+
+
+@_NEEDS_TWO_CPUS
+def test_consecutive_calls_reuse_one_pool():
+    spec = TimeChangeSpec(Stable(0.75), Kind.SUBORDINATOR)
+    draws = (_draw_kernel, (spec, UNIT, 1e-3, "spectral"), 4 * BLOCK + 17)
+    moments = (
+        _inverse_moment_kernel,
+        (TimeChangeSpec(Stable(0.5), Kind.INVERSE), 1e-3, 1.0, phi(Stable(0.5), 1e3)),
+        2 * BLOCK,
+    )
+    serial = [samplers.run_blocks(kernel, args, n, RandomStream(6)) for kernel, args, n in (draws, moments)]
+    pools = []
+    for _ in range(2):
+        pooled = [samplers.run_blocks(kernel, args, n, RandomStream(6), 2) for kernel, args, n in (draws, moments)]
+        assert pooled == serial
+        pools.append(samplers._pool)
+    assert pools[0] is not None and pools[0] is pools[1]
+    assert len(serial[1]) == 2
+
+
+def _exit_in_worker(parent, stream, lo, size, n):
+    if os.getpid() != parent:
+        os._exit(3)
+    return stream.uniforms(size)
+
+
+@_NEEDS_TWO_CPUS
+def test_broken_pool_is_dropped_and_the_next_call_starts_afresh():
+    from concurrent.futures.process import BrokenProcessPool
+
+    spec = TimeChangeSpec(Stable(0.75), Kind.SUBORDINATOR)
+    args = (spec, UNIT, 1e-3, "spectral")
+    serial = samplers.run_blocks(_draw_kernel, args, 3 * BLOCK, RandomStream(5))
+    with pytest.raises(BrokenProcessPool):
+        samplers.run_blocks(_exit_in_worker, os.getpid(), 2 * BLOCK, RandomStream(5), 2)
+    assert samplers._pool is None
+    assert samplers.run_blocks(_draw_kernel, args, 3 * BLOCK, RandomStream(5), 2) == serial
 
 
 def test_mixed_telescoped_worker_bit_identity():

@@ -173,6 +173,55 @@ def test_exact_h_matches_mpmath_without_cancellation():
     assert exact_H_interval(Interval(0.0, 1e-50), 1e-4) == pytest.approx(1e-50, rel=1e-15)
 
 
+def _unpruned_deficit(L, u):
+    # the image and eigenmode forms with every term summed
+    out = np.zeros_like(u)
+    sqrt_2pi = np.sqrt(2.0 * np.pi)
+
+    def r(x):
+        return np.exp(-0.5 * x * x) / sqrt_2pi - x * ndtr(-x)
+
+    lo = (u > 0.0) & (u < L * L / 10.0)
+    sig = np.sqrt(2.0 * u[lo])
+    a = L / sig
+    out[lo] = sig * (4.0 / sqrt_2pi - 8.0 * (r(a) - r(2.0 * a) + r(3.0 * a) - r(4.0 * a)))
+    hi = u >= L * L / 10.0
+    k = np.array([1.0, 3.0, 5.0, 7.0])[:, None]
+    out[hi] = L - (8.0 * L / (k * np.pi) ** 2 * np.exp(-((k * np.pi / L) ** 2) * u[hi][None, :])).sum(axis=0)
+    return out
+
+
+def _unpruned_H(L, u):
+    # the closed form 2 sigma (a Phibar(a) + phi(0) - phi(a)) at every a
+    sqrt_2pi = np.sqrt(2.0 * np.pi)
+    flat = u >= 2.0**1023
+    out = np.where(flat, L, 0.0)
+    pos = (u > 0.0) & ~flat
+    sig = np.sqrt(2.0 * u[pos])
+    a = L / sig
+    val = a * ndtr(-a) + 1.0 / sqrt_2pi - np.exp(-0.5 * a * a) / sqrt_2pi
+    near = a < 1.0
+    val[near] = a[near] * ndtr(-a[near]) - np.expm1(-0.5 * a[near] ** 2) / sqrt_2pi
+    out[pos] = val * (2.0 * sig)
+    return out
+
+
+@pytest.mark.parametrize("L", [1e-3, 1.0, 37.0])
+def test_pruned_interval_oracles_are_bitwise_the_full_sums(L):
+    # past a = L/sqrt(2u) = 40 the image terms and past (pi/L)^2 u = 760 the
+    # eigenmodes are 0.0 in doubles, so leaving them out changes no bit
+    dom = Interval(0.0, L)
+    near_cut = L * L / (2.0 * np.linspace(38.0, 41.0, 30_001) ** 2)
+    special = [0.0, 1e-300, L * L / 10.0, 760.0 * (L / np.pi) ** 2, 2.0**1023, np.inf, np.nan]
+    u = np.concatenate([np.geomspace(1e-320, 1e308, 200_001), near_cut, special])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_deficit, want_H = _unpruned_deficit(L, u), _unpruned_H(L, u)
+    with np.errstate(over="raise", invalid="raise"):
+        got_deficit, got_H = exact_deficit_interval(dom, u), exact_H_interval(dom, u)
+    assert np.array_equal(got_deficit.view(np.uint64), want_deficit.view(np.uint64))
+    assert np.array_equal(got_H.view(np.uint64), want_H.view(np.uint64))
+
+
 def test_exact_h_vectorized_matches_scalar():
     us = np.array([0.0, 1e-6, 0.03, 2.0])
     vec = exact_H_interval(UNIT, us)
