@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -159,8 +160,6 @@ def _exit_in_worker(parent, stream, lo, size, n):
 
 @_NEEDS_TWO_CPUS
 def test_broken_pool_is_dropped_and_the_next_call_starts_afresh():
-    from concurrent.futures.process import BrokenProcessPool
-
     spec = TimeChangeSpec(Stable(0.75), Kind.SUBORDINATOR)
     args = (spec, UNIT, 1e-3, "spectral")
     serial = samplers.run_blocks(_draw_kernel, args, 3 * BLOCK, RandomStream(5))
