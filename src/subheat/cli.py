@@ -91,6 +91,10 @@ class RunConfig:
     tolerance: float | None = None
 
     def __post_init__(self):
+        if self.time_change not in ("sub", "inv"):
+            raise ValueError(f"time-change must be 'sub' or 'inv', got {self.time_change!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.tolerance is not None and not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
@@ -158,49 +162,22 @@ _KEYS = {
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Precedence: command-line flags > config file > SUBHEAT_SEED env > defaults."""
-    file_vals = {}
+    """Precedence: command-line flags > config file > SUBHEAT_SEED env > the
+    RunConfig defaults, which only RunConfig declares."""
+    found = {}
     if getattr(args, "config", None):
-        raw = _load_config_file(args.config)
-        for key, val in raw.items():
+        for key, val in _load_config_file(args.config).items():
             if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            file_vals[key] = _KEYS[key](val)
-
-    def pick(flag_name, file_key, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if file_key in file_vals:
-            return file_vals[file_key]
-        return default
-
-    seed_default = 0
+            found[key] = _KEYS[key](val)
     env_seed = os.environ.get("SUBHEAT_SEED")
     if env_seed is not None:
-        seed_default = int(env_seed)
-    kind = pick("time_change", "time-change", "sub")
-    if kind not in ("sub", "inv"):
-        raise ValueError(f"time-change must be 'sub' or 'inv', got {kind!r}")
-    fmt = pick("format", "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    quick = getattr(args, "quick", False) or file_vals.get("quick", False)
-    return RunConfig(
-        exponent=pick("exponent", "exponent", "stable:0.5"),
-        domain=pick("domain", "domain", "interval:0,1"),
-        time_change=kind,
-        t=pick("t", "t", None),
-        t_ladder=pick("t_ladder", "t-ladder", None),
-        paths=pick("paths", "paths", 200_000),
-        seed=pick("seed", "seed", seed_default),
-        workers=pick("workers", "workers", 1),
-        fmt=fmt,
-        out=pick("out", "out", None),
-        suite=pick("suite", "suite", None),
-        quick=bool(quick),
-        tolerance=pick("tolerance", "tolerance", None),
-    )
+        found.setdefault("seed", int(env_seed))
+    for key in _KEYS:
+        flag = getattr(args, key.replace("-", "_"), None)
+        if flag is not None:
+            found[key] = flag
+    return RunConfig(**{"fmt" if key == "format" else key.replace("-", "_"): val for key, val in found.items()})
 
 
 def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000, n_max=1_600_000, workers=1):

@@ -104,11 +104,13 @@ def _is_stable_draws(beta, t, u_cap, n, stream):
     return d, w
 
 
-def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
+def _deficit_is_draws(args, stream, lo, size, n):
     """Weighted draws of the spectral deficit |Omega| - Q(D_t) via importance
     sampling; tempered exponents ride the stable proposal through an exact
     exponential tilt of the marginal density."""
+    exp, dom, t = args
     deficit = dom.ORACLES["spectral"][0]
+    u_cap = dom.saturation_clock
     if isinstance(exp, MixedStable):
         # Telescope the deficit d = |Omega| - Q over components: with partial
         # sums S_j = D_1 + ... + D_j, write d(S_N) as the sum over j of
@@ -119,18 +121,18 @@ def _deficit_is_draws(exp, t, dom, u_cap, n, stream):
         # variance is dominated by ordinary single-component importance
         # sampling.  Multiplying the component weights instead degrades badly
         # once t is deep in the short-time regime.
-        out = np.zeros(n)
-        s_prev = np.zeros(n)
+        out = np.zeros(size)
+        s_prev = np.zeros(size)
         for i, (b, wt) in enumerate(exp.components):
-            di, wi = _is_stable_draws(b, wt * t, u_cap, n, stream.spawn(1 + 2 * i))
+            di, wi = _is_stable_draws(b, wt * t, u_cap, size, stream.spawn(1 + 2 * i))
             d_lo = deficit(dom, s_prev)
             d_hi = deficit(dom, np.minimum(s_prev + di, 1e300))
             out = out + (d_hi - d_lo) * wi
             if i + 1 < len(exp.components):
-                plain = samplers.sample_stable(b, wt * t, stream.spawn(2 + 2 * i), n)
+                plain = samplers.sample_stable(b, wt * t, stream.spawn(2 + 2 * i), size)
                 s_prev = np.minimum(s_prev + plain, 1e300)
         return out
-    d, w = _is_stable_draws(exp.beta, t, u_cap, n, stream)
+    d, w = _is_stable_draws(exp.beta, t, u_cap, size, stream)
     if exp.theta > 0.0:
         with np.errstate(under="ignore"):
             w = w * np.exp(-exp.theta * d + t * exp.theta**exp.beta)
@@ -147,13 +149,8 @@ def _importance_sampled(exp, t, u_cap):
 
 
 def _draw_kernel(args, stream, lo, size, n):
-    # f(clock) for the quantity's oracle f; only spectral subordinator rows
-    # are importance-sampled, regular ones draw the clock plainly
+    # f(clock) for the quantity's oracle f, at one plain clock draw per path
     spec, dom, t, quantity = args
-    exp = spec.exponent
-    u_cap = dom.saturation_clock
-    if quantity == "spectral" and spec.kind is Kind.SUBORDINATOR and _importance_sampled(exp, t, u_cap):
-        return _deficit_is_draws(exp, t, dom, u_cap, size, stream)
     return dom.ORACLES[quantity][0](dom, sample_clock(spec, t, stream, size))
 
 
@@ -198,22 +195,24 @@ def _duality_horizon(exp, t):
 
 
 def _clock_kernel(spec, dom, t, quantity):
-    """Kernel and args of an estimate of f(clock) for the quantity's oracle f.
+    """Kernel and args of an estimate of f(clock) for the quantity's oracle f,
+    the one place where an estimate's route is chosen.
 
     A non-stable inverse clock without a set grid step takes the duality
     kernel in the small-time regime u0 theta^b <= 1, u0 = 1/phi(1/t) being
     the scale of E_t; past it E_t concentrates near t/phi'(0) and the grid
     walk is cheap, while the tilt weight's variance grows like
-    e^(u (2 theta^b - (2 theta)^b)).  Everything else draws the clock.
+    e^(u (2 theta^b - (2 theta)^b)).  A spectral subordinator row takes
+    importance sampling where _importance_sampled says so, which refuses a
+    clock time out of its range before any block runs.  Everything else
+    draws the clock.
     """
     exp = spec.exponent
-    if (
-        spec.kind is Kind.INVERSE
-        and spec.grid_step is None
-        and not isinstance(exp, Stable)
-        and _tilt_rate(exp) <= phi(exp, 1.0 / t)
-    ):
-        return _duality_kernel, (spec, dom, t, quantity, _duality_horizon(exp, t))
+    if spec.kind is Kind.INVERSE:
+        if spec.grid_step is None and not isinstance(exp, Stable) and _tilt_rate(exp) <= phi(exp, 1.0 / t):
+            return _duality_kernel, (spec, dom, t, quantity, _duality_horizon(exp, t))
+    elif quantity == "spectral" and _importance_sampled(exp, t, dom.saturation_clock):
+        return _deficit_is_draws, (exp, dom, t)
     return _draw_kernel, (spec, dom, t, quantity)
 
 

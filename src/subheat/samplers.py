@@ -3,10 +3,12 @@
 All variates derive from counter-based Philox streams keyed by (seed,
 stream_key), so any draw sequence is reproducible bit-for-bit regardless of
 scheduling. Stable variates use Kanter's representation (exact, no rejection);
-tempered variates use exponential-tilt rejection; inverse variates use the
-exact first-passage identity for stable exponents and a grid first-passage
-walk with conditional bisection refinement otherwise; sample_clock picks the
-subordinator or the inverse sampler by the kind of a TimeChangeSpec.
+tempered variates, marginals and grid-walk increments alike, go through one
+exponential-tilt rejection loop, _tilted_rows, called by _subordinator_block;
+inverse variates use the exact first-passage identity for stable exponents and
+a grid first-passage walk with conditional bisection refinement otherwise;
+sample_clock picks the subordinator or the inverse sampler by the kind of a
+TimeChangeSpec.
 sample_untempered draws D_u at one clock time per path, which the duality
 estimator of inverse clocks scores in place of the grid walk at small times.
 run_blocks, the package's one Monte Carlo block driver, sits next to the
@@ -204,22 +206,14 @@ class TimeChangeSpec:
     exponent: LaplaceExponent
     kind: Kind
     grid_step: float | None = None
-    refine_bisections: int = 20
 
     def __post_init__(self):
         if self.grid_step is not None and not (self.grid_step > 0.0 and math.isfinite(self.grid_step)):
             raise ValueError(f"grid_step must be positive and finite, got {self.grid_step}")
-        if self.refine_bisections < 0:
-            raise ValueError("refine_bisections must be nonnegative")
 
 
-def kanter_angle(u, beta: float):
-    """Kanter's angle function A(u) on (0,1).
-
-    A(u) = [sin(beta pi u)^beta sin((1-beta) pi u)^(1-beta) / sin(pi u)]
-    raised to 1/(1-beta); S_1 = (A(U)/E)^((1-beta)/beta) for U uniform and E
-    unit exponential (Kanter 1975).
-    """
+def _kanter_ratio(u, beta: float):
+    """A(u)^(1-beta) = sin(beta pi u)^beta sin((1-beta) pi u)^(1-beta) / sin(pi u)."""
     # in place on two work arrays: each fresh block-sized temporary costs the
     # allocator a map and page faults, and the draws dominate the plain paths
     b = beta
@@ -233,7 +227,18 @@ def kanter_angle(u, beta: float):
     num *= tmp
     np.sin(np.multiply(np.pi, u, out=tmp), out=tmp)
     num /= tmp
-    num **= 1.0 / (1.0 - b)
+    return num
+
+
+def kanter_angle(u, beta: float):
+    """Kanter's angle function A(u) on (0,1).
+
+    A(u) = [sin(beta pi u)^beta sin((1-beta) pi u)^(1-beta) / sin(pi u)]
+    raised to 1/(1-beta); S_1 = (A(U)/E)^((1-beta)/beta) for U uniform and E
+    unit exponential (Kanter 1975).
+    """
+    num = _kanter_ratio(u, beta)
+    num **= 1.0 / (1.0 - beta)
     return num[()]
 
 
@@ -259,67 +264,78 @@ def kanter_angle_tail(v, beta: float):
 
 
 def _kanter_variates(beta: float, stream: RandomStream, shape):
-    """Kanter's A(U) and E of the given shape: S_1 = (A(U)/E)^((1-beta)/beta)."""
+    """U, A(U) and E of the given shape: S_1 = (A(U)/E)^((1-beta)/beta)."""
     u = stream.uniforms(shape)
     np.maximum(u, _OPEN_EPS, out=u)
     e = stream.exponentials(shape)
     np.maximum(e, 1e-300, out=e)
-    return kanter_angle(u, beta), e
+    with np.errstate(over="ignore"):
+        return u, kanter_angle(u, beta), e
+
+
+def _kanter_power(u, e, beta: float):
+    """(A(u)/e)^(1-beta), formed from the Kanter ratio A^(1-beta).
+
+    Near beta = 1 the power 1/(1-beta) takes A, or A/E, past double range for
+    u near 1 (0.1% of draws at beta = 0.999), while this stays of order 1;
+    at those draws S_1 is its 1/beta-th power and E_1 its inverse.
+    """
+    return _kanter_ratio(u, beta) / e ** (1.0 - beta)
 
 
 def _stable_block(beta: float, t: float, stream: RandomStream, shape):
     """iid S_t variates of the given shape via Kanter's representation."""
-    s, e = _kanter_variates(beta, stream, shape)
+    u, s, e = _kanter_variates(beta, stream, shape)
     with np.errstate(over="ignore"):
         s /= e
+        over = np.isinf(s)
         s **= (1.0 - beta) / beta
+        if over.any():
+            s[over] = _kanter_power(u[over], e[over], beta) ** (1.0 / beta)
         s *= t ** (1.0 / beta)
     return np.minimum(s, 1e300, out=s)
 
 
-def _tempered_block(beta: float, theta: float, t: float, stream: RandomStream, shape):
-    """iid tempered-stable variates by chunked tilt rejection.
+_ROW_TILT = 0.5  # largest k h theta^b at which rows of k increments are accepted whole
 
-    Each chunk proposes a stable draw and accepts with probability e^(-theta X);
-    the time axis is split so every chunk keeps acceptance >= 1/e.
+
+def _tilted_rows(beta: float, theta: float, h: float, stream: RandomStream, shape):
+    """Rows of iid tempered increments over steps of length h, by tilt rejection.
+
+    A row of stable increments is accepted whole with probability
+    e^(-theta * row sum): the accepted joint density is proportional to the
+    product of tempered densities, so the rows are exact.  Rejected rows are
+    redrawn until every row is accepted.
     """
-    n_chunks = max(1, math.ceil(t * theta**beta))
-    tau = t / n_chunks
-    total = np.zeros(shape, dtype=float).ravel()
-    for _ in range(n_chunks):
-        pending = np.arange(total.size)
-        while pending.size:
-            prop = _stable_block(beta, tau, stream, pending.size)
-            acc = stream.uniforms(pending.size) <= np.exp(-theta * prop)
-            total[pending[acc]] += prop[acc]
-            pending = pending[~acc]
-    return total.reshape(shape)
+    inc = _stable_block(beta, h, stream, shape)
+    acc = stream.uniforms(shape[0]) <= np.exp(-theta * inc.sum(axis=1))
+    while not acc.all():
+        bad = np.flatnonzero(~acc)
+        prop = _stable_block(beta, h, stream, (bad.size, shape[1]))
+        inc[bad] = prop
+        acc[bad] = stream.uniforms(bad.size) <= np.exp(-theta * prop.sum(axis=1))
+    return inc
 
 
-def _increment_block(exp: LaplaceExponent, h: float, stream: RandomStream, shape):
+def _subordinator_block(exp: LaplaceExponent, h: float, stream: RandomStream, shape):
     """iid increments of D over time steps of length h, any catalog exponent.
 
-    Tempered increments are accepted a whole row at a time with probability
-    e^(-theta * row sum): the accepted joint density is proportional to the
-    product of tempered densities, so rows are exact, and for the tiny h of a
-    grid walk the rejection rate is ~h * len(row) * theta^beta.
+    Tempered increments come from _tilted_rows.  The rows of a 2-D shape
+    (paths, k) are accepted whole while k h theta^b <= _ROW_TILT, so a grid
+    walk rejects a row with probability 1 - e^(-k h theta^b) <= 1 - e^(-1/2);
+    otherwise each value is a row of its own, drawn over ceil(h theta^b)
+    chunks of the step, so that every chunk keeps acceptance >= 1/e.
     """
     if exp.theta == 0.0:
         return _stable_sum_block(exp.components, h, stream, shape)
     beta, theta = exp.beta, exp.theta
-    row_time = h * (shape[1] if len(shape) > 1 else 1)
-    if row_time * theta**beta > 0.5:
-        return _tempered_block(beta, theta, h, stream, shape)
-    inc = _stable_block(beta, h, stream, shape)
-    if inc.ndim == 1:
-        inc = inc[None, :]
-    acc = stream.uniforms(inc.shape[0]) <= np.exp(-theta * inc.sum(axis=1))
-    while not acc.all():
-        bad = np.flatnonzero(~acc)
-        prop = _stable_block(beta, h, stream, (bad.size, inc.shape[1]))
-        inc[bad] = prop
-        acc[bad] = stream.uniforms(bad.size) <= np.exp(-theta * prop.sum(axis=1))
-    return inc.reshape(shape)
+    if isinstance(shape, tuple) and len(shape) == 2 and h * shape[1] * theta**beta <= _ROW_TILT:
+        return _tilted_rows(beta, theta, h, stream, shape)
+    n_chunks = max(1, math.ceil(h * theta**beta))
+    total = np.zeros(shape)
+    for _ in range(n_chunks):
+        total += _tilted_rows(beta, theta, h / n_chunks, stream, (total.size, 1)).reshape(total.shape)
+    return total
 
 
 def _stable_sum_block(components, t: float, stream: RandomStream, shape):
@@ -344,11 +360,7 @@ def sample_subordinator(exp: LaplaceExponent, t: float, stream: RandomStream, si
     otherwise a sum of independent stable components."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    shape = size if size is not None else 1
-    if exp.theta > 0.0:
-        out = _tempered_block(exp.beta, exp.theta, t, stream, shape)
-    else:
-        out = _stable_sum_block(exp.components, t, stream, shape)
+    out = _subordinator_block(exp, t, stream, size if size is not None else 1)
     return float(out[0]) if size is None else out
 
 
@@ -368,10 +380,11 @@ def sample_mixed(components, t: float, stream: RandomStream, size=None):
 
 
 _STEP_GUARD = 10**9
+_REFINE_BISECTIONS = 20  # halvings of the crossing step in a grid inverse draw
 _REFINE_TRIES = 64
 
 
-def _refine_crossing(exp, gap, h, levels, stream, tries=_REFINE_TRIES):
+def _refine_crossing(exp, gap, h, levels, stream):
     """Bisection refinement of first-passage positions inside a crossing step.
 
     Each halving resamples the step as two half-step increments conditioned on
@@ -394,12 +407,12 @@ def _refine_crossing(exp, gap, h, levels, stream, tries=_REFINE_TRIES):
             break
         hh *= 0.5
         m = active.size
-        x1 = _stable_sum_block(exp.components, hh, stream, (m, tries))
-        x2 = _stable_sum_block(exp.components, hh, stream, (m, tries))
+        x1 = _stable_sum_block(exp.components, hh, stream, (m, _REFINE_TRIES))
+        x2 = _stable_sum_block(exp.components, hh, stream, (m, _REFINE_TRIES))
         tot = x1 + x2
         ok = tot > g[active, None]
         if theta > 0.0:
-            ok &= stream.uniforms((m, tries)) <= np.exp(-theta * tot)
+            ok &= stream.uniforms((m, _REFINE_TRIES)) <= np.exp(-theta * tot)
         hit = ok.any(axis=1)
         first = np.argmax(ok, axis=1)
         x1_sel = x1[np.arange(m), first]
@@ -438,12 +451,12 @@ def _grid_inverse_block(exp, t, grid_step, refine, stream, n):
     while alive.size:
         k = int(max(64, min(4096, 4_000_000 // alive.size)))
         if exp.theta > 0.0:
-            k = max(1, min(k, int(0.5 / (h * exp.theta**exp.beta)) or 1))
+            k = max(1, min(k, int(_ROW_TILT / (h * exp.theta**exp.beta)) or 1))
         if steps_done + k > _STEP_GUARD:
             raise RunawaySamplerError(
                 f"no crossing of t={t:g} within {_STEP_GUARD:.0e} steps of size {h:g}"
             )
-        inc = _increment_block(exp, h, stream, (alive.size, k))
+        inc = _subordinator_block(exp, h, stream, (alive.size, k))
         cs = d[alive, None] + np.cumsum(inc, axis=1)
         crossed = cs[:, -1] > t
         first = np.argmax(cs > t, axis=1)
@@ -471,7 +484,8 @@ def sample_inverse(spec: TimeChangeSpec, t: float, stream: RandomStream, size=No
     At small beta the power (1-beta)/beta of S_1 = (A/E)^((1-beta)/beta)
     leaves double range; where S_1 or t/S_1 is not a normal float, or S_1
     reaches the 1e300 cap, E_t = t^beta (E/A)^(1-beta) comes from the same
-    Kanter variates without it.
+    Kanter variates without it, and where A/E itself overflows (beta near 1)
+    E_t = t^beta / (A/E)^(1-beta) from the Kanter ratio A^(1-beta).
     """
     if spec.kind is not Kind.INVERSE:
         raise ValueError("sample_inverse requires an InverseSubordinator spec")
@@ -481,20 +495,23 @@ def sample_inverse(spec: TimeChangeSpec, t: float, stream: RandomStream, size=No
     exp = spec.exponent
     if isinstance(exp, Stable):
         b = exp.beta
-        a, e = _kanter_variates(b, stream, n)
+        u, a, e = _kanter_variates(b, stream, n)
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             s = np.divide(a, e)
+            over = np.isinf(s)
+            q = _kanter_power(u[over], e[over], b)
             s **= (1.0 - b) / b
             np.minimum(s, 1e300, out=s)
-            out = np.divide(t, s)
+            out = np.divide(t, s, out=u)  # u is spent, and its buffer takes E_t
             lost = s >= 1e300
             lost |= ~np.isfinite(out)
             lost |= np.minimum(s, out, out=s) < np.finfo(float).tiny
             out **= b
         out[lost] = t**b * (e[lost] / a[lost]) ** (1.0 - b)
+        out[over] = t**b / q
     else:
         h = spec.grid_step if spec.grid_step is not None else t * 1e-3
-        out = _grid_inverse_block(exp, t, h, spec.refine_bisections, stream, n)
+        out = _grid_inverse_block(exp, t, h, _REFINE_BISECTIONS, stream, n)
     return float(out[0]) if size is None else out
 
 

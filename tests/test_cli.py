@@ -189,6 +189,22 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("time-change = both", "time-change must be 'sub' or 'inv', got 'both'"),
+        ("format = xml", "format must be 'csv' or 'json', got 'xml'"),
+    ],
+)
+def test_config_file_choices_are_checked(tmp_path, capsys, line, message):
+    # argparse checks the flags' choices; RunConfig checks the same values
+    # when they come from a config file
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{line}\nexponent = stable:0.75\n")
+    assert main(["estimate", "--config", str(cfgfile), "--t", "1e-3"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_out_flag_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     out = tmp_path / "pred.csv"
     assert main(["predict", "--exponent", "stable:0.5", "--out", str(out)]) == 0

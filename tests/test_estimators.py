@@ -196,6 +196,24 @@ def test_spectral_subordinate_deficit_matches_series_past_saturation(exp, t):
     assert abs(est.deficit - series) <= 4.0 * est.stderr + tail + 1e-12
 
 
+def test_spectral_subordinate_near_index_one_matches_series():
+    # at b = 0.999 the Kanter power overflows for 0.1% of clock draws, which
+    # read the full deficit when they were capped at 1e300
+    exp = Stable(0.999)
+    est = estimate_spectral_subordinate(exp, UNIT, 1e-3, 262_144, RandomStream(3))
+    series, tail = subordinate_deficit_series(UNIT, exp, 1e-3)
+    assert abs(est.deficit - series) <= 4.0 * est.stderr + tail
+
+
+def test_refused_importance_sampling_raises_before_any_block():
+    # the route is chosen once per estimate, so an out-of-range clock time
+    # is refused before the worker pool is made
+    samplers._drop_pool()
+    with pytest.raises(ValueError, match="out of range for importance sampling"):
+        estimate_spectral_subordinate(Stable(0.25), UNIT, 1e-100, 65_536, RandomStream(0), workers=2)
+    assert samplers._pool is None
+
+
 def test_spectral_subordinate_clamped_to_physical_range():
     est = estimate_spectral_subordinate(Stable(0.75), UNIT, 50.0, 4096, RandomStream(1))
     assert 0.0 <= est.value <= UNIT.volume

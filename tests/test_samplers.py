@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -169,20 +170,74 @@ def test_inverse_grid_bias_shrinks_with_step():
     target = math.sqrt(2.0 * t) * math.sqrt(2.0 / math.pi)  # E|N(0, 2t)|
     errs = []
     for k, step in enumerate((t / 20.0, t / 160.0)):
-        spec = TimeChangeSpec(GRID_HALF, Kind.INVERSE, grid_step=step, refine_bisections=0)
-        e = sample_inverse(spec, t, RandomStream(31 + k), 60_000)
+        e = samplers._grid_inverse_block(GRID_HALF, t, step, 0, RandomStream(31 + k), 60_000)
         errs.append(abs(float(e.mean()) - target))
     assert errs[1] < errs[0]
 
 
 def test_inverse_refinement_tightens_the_crossing():
     t = 0.04
-    spec_coarse = TimeChangeSpec(GRID_HALF, Kind.INVERSE, grid_step=t / 20.0, refine_bisections=0)
-    spec_fine = TimeChangeSpec(GRID_HALF, Kind.INVERSE, grid_step=t / 20.0, refine_bisections=20)
+    spec = TimeChangeSpec(GRID_HALF, Kind.INVERSE, grid_step=t / 20.0)
     target = math.sqrt(2.0 * t) * math.sqrt(2.0 / math.pi)
-    e0 = float(sample_inverse(spec_coarse, t, RandomStream(37), 60_000).mean())
-    e1 = float(sample_inverse(spec_fine, t, RandomStream(37), 60_000).mean())
+    e0 = float(samplers._grid_inverse_block(GRID_HALF, t, t / 20.0, 0, RandomStream(37), 60_000).mean())
+    e1 = float(sample_inverse(spec, t, RandomStream(37), 60_000).mean())
     assert abs(e1 - target) < abs(e0 - target)
+
+
+def _grid_walk(exp, t, h, seed, n):
+    return sample_inverse(TimeChangeSpec(exp, Kind.INVERSE, grid_step=h), t, RandomStream(seed), n)
+
+
+@pytest.mark.parametrize(
+    "draw,digest",
+    [
+        # t theta^b = 0.3: one tilt chunk per value
+        (
+            lambda: sample_tempered(0.5, 1.0, 0.3, RandomStream(41), 5000),
+            "e6ce5712dbbe67f4f56101687987ab7057b03463c77b1e038fae5e097732db09",
+        ),
+        # t theta^b = 40: forty chunks per value
+        (
+            lambda: sample_tempered(0.5, 1.0, 40.0, RandomStream(42), 2000),
+            "78a7940f0864771360caa3b2852eea0d0563052cde46f6acd107e96985dbcb39",
+        ),
+        # h theta^b = 1e-3: rows of 500 walk increments accepted whole
+        (
+            lambda: _grid_walk(TemperedStable(0.5, 1.0), 0.1, 1e-3, 43, 500),
+            "5824c8f81139ca59f9801f3c98fc89b5c00d8bd41e1020d3c031ff5a3709e7f0",
+        ),
+        # h theta^b = 3.4 > 1/2: one walk increment per row, over four chunks
+        (
+            lambda: _grid_walk(TemperedStable(0.75, 2.0), 10.0, 2.0, 44, 300),
+            "290db1676d58acb7d9487199c6be19f59203b9427d7a1ac97afed942f03ac435",
+        ),
+    ],
+    ids=["one-chunk", "many-chunks", "walk-rows", "walk-values"],
+)
+def test_tempered_draws_keep_their_bits(draw, digest):
+    # sha256 of the bytes of tempered draws through each path of the tilt
+    # rejection loop; a change here moves the inverse-universality check and
+    # every tempered estimate
+    assert hashlib.sha256(draw().tobytes()).hexdigest() == digest
+
+
+def test_kanter_draws_stay_finite_near_index_one():
+    # at b = 0.999 the power 1/(1-b) of the Kanter ratio overflows for 0.1%
+    # of draws; S_1 and E_1 come from the ratio itself there, and every
+    # draw whose A/E is finite keeps the plain form
+    beta, n = 0.999, 262_144
+    s = sample_stable(beta, 1.0, RandomStream(3), n)
+    e = sample_inverse(TimeChangeSpec(Stable(beta), Kind.INVERSE), 1.0, RandomStream(3), n)
+    assert np.all(s < 1e300) and np.all(s > 0.0)
+    assert np.all(e > 0.0) and np.all(np.isfinite(e))
+    _, a, x = samplers._kanter_variates(beta, RandomStream(3), n)
+    with np.errstate(over="ignore"):
+        plain = np.isfinite(a / x)
+    assert 0 < np.count_nonzero(~plain) < n // 500
+    assert np.array_equal(s[plain], (a[plain] / x[plain]) ** ((1.0 - beta) / beta))
+    for p in (0.5, 1.0):
+        mean, se = _mean_se(e**p)
+        assert abs(mean - inverse_moment(beta, p)) <= 4.0 * se
 
 
 def test_inverse_runaway_guard():
