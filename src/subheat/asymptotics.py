@@ -174,33 +174,47 @@ def lowindex_constant(exp, dom: Interval, quantity: str = "spectral", epsrel: fl
     return part_singular + part_res + part_tail
 
 
-def _predict(exp, dom, kind, quantity: str) -> AsymptoticPrediction:
+def small_time_rate(exp, kind) -> RateFunction:
+    """The rate that the heat lost divides by as t -> 0.
+
+    It depends on the clock alone: the time change and the regime of its
+    exponent. Only the constant depends on the domain and the quantity.
+    """
     kind = Kind(kind) if isinstance(kind, str) else kind
-    surface = dom.surface
-    half = 0.5 if quantity == "regular" else 1.0
-    suffix = "-regular" if quantity == "regular" else ""
     if kind is Kind.INVERSE:
-        b = leading_index(exp)
-        const = half * surface / gamma_fn(b / 2.0 + 1.0)
-        return AsymptoticPrediction(RateFunction("phi-sqrt", exp), const, "inverse-limit" + suffix)
+        return RateFunction("phi-sqrt", exp)
     reg = regime(exp)
     if reg is Regime.HIGH_INDEX:
-        b = leading_index(exp)
-        const = half * stable_moment(b, 0.5) * 2.0 * surface / math.sqrt(math.pi)
-        return AsymptoticPrediction(
-            RateFunction("phi-inverse-sqrt", exp), const, "highindex-limit" + suffix
-        )
+        return RateFunction("phi-inverse-sqrt", exp)
     if reg is Regime.CRITICAL:
+        return RateFunction("t-log")
+    return RateFunction("t")
+
+
+def _predict(exp, dom, kind, quantity: str) -> AsymptoticPrediction:
+    rate = small_time_rate(exp, kind)
+    b = leading_index(exp)
+    surface = dom.surface
+    half = 0.5 if quantity == "regular" else 1.0
+    if rate.name == "phi-sqrt":
+        const = half * surface / gamma_fn(b / 2.0 + 1.0)
+        tag = "inverse-limit"
+    elif rate.name == "phi-inverse-sqrt":
+        const = half * stable_moment(b, 0.5) * 2.0 * surface / math.sqrt(math.pi)
+        tag = "highindex-limit"
+    elif rate.name == "t-log":
         w = _critical_leading_weight(exp)
         const = half * 2.0 * surface / math.pi * w
-        return AsymptoticPrediction(RateFunction("t-log"), const, "critical-limit" + suffix)
-    if not isinstance(dom, Interval):
-        raise UnsupportedConfigurationError(
-            "low-index constant is a quadrature against the exact interval oracle; "
-            "disk domains are not supported in this regime"
-        )
-    const = lowindex_constant(exp, dom, quantity)
-    return AsymptoticPrediction(RateFunction("t"), const, "lowindex-limit" + suffix)
+        tag = "critical-limit"
+    else:
+        if not isinstance(dom, Interval):
+            raise UnsupportedConfigurationError(
+                "low-index constant is a quadrature against the exact interval oracle; "
+                "disk domains are not supported in this regime"
+            )
+        const = lowindex_constant(exp, dom, quantity)
+        tag = "lowindex-limit"
+    return AsymptoticPrediction(rate, const, tag + ("-regular" if quantity == "regular" else ""))
 
 
 def predict_spectral(exp, dom, kind) -> AsymptoticPrediction:

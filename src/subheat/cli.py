@@ -28,6 +28,7 @@ from .asymptotics import (
     inverse_moment,
     predict_regular,
     predict_spectral,
+    small_time_rate,
     stable_moment,
 )
 from .diagnostics import check_inverse_moments, check_levy_convergence, check_small_ball
@@ -79,7 +80,6 @@ class RunConfig:
     exponent: str = "stable:0.5"
     domain: str = "interval:0,1"
     time_change: str = "sub"
-    t: float | None = None
     t_ladder: tuple[float, ...] | None = None
     paths: int = 200_000
     seed: int = 0
@@ -99,13 +99,6 @@ class RunConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.tolerance is not None and not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-
-    def ladder(self) -> tuple[float, ...]:
-        if self.t_ladder:
-            return self.t_ladder
-        if self.t is not None:
-            return (self.t,)
-        raise ValueError("need --t or --t-ladder")
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,27 @@ def _parse_ladder(text: str) -> tuple[float, ...]:
     return vals
 
 
+# each setting once: config key (the flag is --key) -> (RunConfig field,
+# parser of its text, help)
+_KEYS = {
+    "exponent": ("exponent", str, "stable:<b> | tempered:<b>,<theta> | mixed:<b1>*<w1>+<b2>*<w2>+..."),
+    "domain": ("domain", str, "interval:<a>,<b> | disk:<R>"),
+    "time-change": ("time_change", str, "sub | inv"),
+    "t": ("t_ladder", float, "one time, the same as a one-rung --t-ladder"),
+    "t-ladder": ("t_ladder", _parse_ladder, "strictly decreasing times, comma-separated"),
+    "paths": ("paths", int, "Monte Carlo paths per estimate"),
+    "seed": ("seed", int, "seed of the counter-based stream"),
+    "workers": ("workers", int, "processes for the Monte Carlo blocks"),
+    "format": ("fmt", str, "csv | json"),
+    "out": ("out", str, "write the output to this file instead of stdout"),
+    "suite": ("suite", str, "suite name or 'all'"),
+    "quick": ("quick", lambda s: s.lower() in ("1", "true", "yes", "on"), "reduced path counts"),
+    "tolerance": ("tolerance", float, "relative tolerance of the suites' checks"),
+}
+
+
 def _load_config_file(path: str) -> dict:
+    """The file's key = value lines, each value read by its key's parser."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -139,45 +152,34 @@ def _load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            out[key] = _KEYS[key][1](val)
     return out
 
 
-_KEYS = {
-    "exponent": str,
-    "domain": str,
-    "time-change": str,
-    "t": float,
-    "t-ladder": _parse_ladder,
-    "paths": int,
-    "seed": int,
-    "workers": int,
-    "format": str,
-    "out": str,
-    "suite": str,
-    "quick": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "tolerance": float,
-}
+def _level(values: dict) -> dict:
+    """One precedence level's {key: value} as {RunConfig field: value}; t -> (t,)."""
+    out = {}
+    for key, val in values.items():
+        field = _KEYS[key][0]
+        if field in out:  # only --t and --t-ladder share a field
+            raise ValueError("give --t or --t-ladder, not both")
+        out[field] = (val,) if key == "t" else val
+    return out
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Precedence: command-line flags > config file > SUBHEAT_SEED env > the
     RunConfig defaults, which only RunConfig declares."""
-    found = {}
-    if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
-            if key not in _KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            found[key] = _KEYS[key](val)
+    found = _level(_load_config_file(args.config)) if args.config else {}
     env_seed = os.environ.get("SUBHEAT_SEED")
     if env_seed is not None:
         found.setdefault("seed", int(env_seed))
-    for key in _KEYS:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            found[key] = flag
-    return RunConfig(**{"fmt" if key == "format" else key.replace("-", "_"): val for key, val in found.items()})
+    flags = {key: getattr(args, key.replace("-", "_"), None) for key in _KEYS}
+    found.update(_level({key: val for key, val in flags.items() if val is not None}))
+    return RunConfig(**found)
 
 
 def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000, n_max=1_600_000, workers=1):
@@ -194,6 +196,15 @@ def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000
         n *= 2
 
 
+def _table(rows: list[dict], fmt: str) -> str:
+    """rows as JSON, or as CSV headed by their keys with floats in 17 digits."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    lines = [",".join(rows[0])]
+    lines += [",".join(_g(v) if isinstance(v, float) else str(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_predict(cfg: RunConfig) -> str:
     exp = parse_exponent(cfg.exponent)
     dom = parse_domain(cfg.domain)
@@ -202,19 +213,9 @@ def cmd_predict(cfg: RunConfig) -> str:
     for quantity, pred_fn in (("spectral", predict_spectral), ("regular", predict_regular)):
         pred = pred_fn(exp, dom, kind)
         rows.append(
-            {
-                "quantity": quantity,
-                "theorem_tag": pred.theorem_tag,
-                "rate": pred.rate.label,
-                "constant": pred.constant,
-            }
+            {"quantity": quantity, "theorem_tag": pred.theorem_tag, "rate": pred.rate.label, "constant": pred.constant}
         )
-    if cfg.fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    lines = ["quantity,theorem_tag,rate,constant"]
-    for r in rows:
-        lines.append(f"{r['quantity']},{r['theorem_tag']},{r['rate']},{_g(r['constant'])}")
-    return "\n".join(lines) + "\n"
+    return _table(rows, cfg.fmt)
 
 
 # each quantity's rows read their own stream, keyed by the quantity's place
@@ -222,18 +223,18 @@ def cmd_predict(cfg: RunConfig) -> str:
 _QUANTITY_KEY_STRIDE = 2**40
 
 
-def _rate_at(pred, t) -> float:
-    """pred's rate at ladder time t; refuses t unless the rate is finite and positive."""
+def _rate_at(rate, t) -> float:
+    """The rate function at ladder time t; refuses t unless it is finite and positive there."""
     try:
-        rate = float(pred.rate_value(t)) if 0.0 < t < math.inf else math.nan
+        value = float(rate(t)) if 0.0 < t < math.inf else math.nan
     except (ArithmeticError, ValueError):
-        rate = math.nan
-    if not (math.isfinite(rate) and rate > 0.0):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
         raise ValueError(
-            f"t must be positive and finite, and the rate {pred.rate.label} finite and positive "
-            f"there; got t = {t:g}, rate {rate:g}"
+            f"t must be positive and finite, and the rate {rate.label} finite and positive "
+            f"there; got t = {t:g}, rate {value:g}"
         )
-    return rate
+    return value
 
 
 def cmd_estimate(cfg: RunConfig) -> str:
@@ -242,35 +243,28 @@ def cmd_estimate(cfg: RunConfig) -> str:
     spec = TimeChangeSpec(exp, Kind(cfg.time_change))
     offsets = [i * _QUANTITY_KEY_STRIDE for i in range(len(dom.ORACLES))]
     streams = samplers.disjoint_spawns(RandomStream(cfg.seed), offsets, cfg.paths)
+    if not cfg.t_ladder:
+        raise ValueError("need --t or --t-ladder")
+    # the rate is the clock's alone, so no constant is computed; every rung's
+    # rate comes first, so that a rung out of range fails before any estimate runs
+    rate = small_time_rate(exp, spec.kind)
     rows = []
-    pred = predict_spectral(exp, dom, spec.kind)
-    # the regular prediction's rate is the same function; every rung's rate
-    # comes first, so that a rung out of range fails before any estimate runs
-    for t, rate in [(t, _rate_at(pred, t)) for t in cfg.ladder()]:
+    for t, rate_value in [(t, _rate_at(rate, t)) for t in cfg.t_ladder]:
         for quantity, stream in zip(dom.ORACLES, streams):
             e = estimate(spec, dom, t, cfg.paths, stream, quantity, workers=cfg.workers)
-            rows.append((quantity, t, e.value, e.stderr, rate, e.deficit / rate, e.n_paths))
-    if cfg.fmt == "json":
-        payload = [
-            {
-                "t": t,
-                "quantity": q,
-                "value": v,
-                "stderr": se,
-                "rate_value": rv,
-                "ratio": ratio,
-                "n_paths": n,
-                "seed": cfg.seed,
-            }
-            for q, t, v, se, rv, ratio, n in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    lines = ["t,quantity,value,stderr,rate_value,ratio,n_paths,seed"]
-    for q, t, v, se, rv, ratio, n in rows:
-        lines.append(
-            f"{_g(t)},{q},{_g(v)},{_g(se)},{_g(rv)},{_g(ratio)},{n},{cfg.seed}"
-        )
-    return "\n".join(lines) + "\n"
+            rows.append(
+                {
+                    "t": t,
+                    "quantity": quantity,
+                    "value": e.value,
+                    "stderr": e.stderr,
+                    "rate_value": rate_value,
+                    "ratio": e.deficit / rate_value,
+                    "n_paths": e.n_paths,
+                    "seed": cfg.seed,
+                }
+            )
+    return _table(rows, cfg.fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +579,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("predict", "estimate", "verify"):
         p = sub.add_parser(name)
-        p.add_argument("--exponent", help="stable:<b> | tempered:<b>,<theta> | mixed:<b1>*<w1>+<b2>*<w2>+...")
-        p.add_argument("--domain", help="interval:<a>,<b> | disk:<R>")
-        p.add_argument("--time-change", dest="time_change", choices=("sub", "inv"))
-        p.add_argument("--t", type=float)
-        p.add_argument("--t-ladder", dest="t_ladder", type=_parse_ladder)
-        p.add_argument("--paths", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--format", dest="format", choices=("csv", "json"))
-        p.add_argument("--out")
+        for key, (_, parse, text) in _KEYS.items():
+            if key == "quick" and name == "verify":
+                p.add_argument("--quick", action="store_true", default=None, help=text)
+            elif name == "verify" or key not in ("suite", "quick"):
+                p.add_argument(f"--{key}", type=parse, help=text)
         p.add_argument("--config", help="flat key=value file; flags take precedence")
-        p.add_argument("--tolerance", type=float)
-        if name == "verify":
-            p.add_argument("--suite", help="suite name or 'all'")
-            p.add_argument("--quick", action="store_true", default=None)
     return parser
 
 

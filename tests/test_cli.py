@@ -14,16 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subheat import (
+    Disk,
     Interval,
     Kind,
     RandomStream,
     RunawaySamplerError,
     Stable,
+    TimeChangeSpec,
+    estimate,
 )
 from subheat.cli import (
+    _KEYS,
     _SUITE_ALIASES,
     _SUITES,
     RunConfig,
+    _build_parser,
+    _resolve_config,
     adaptive_spectral,
     cmd_estimate,
     cmd_predict,
@@ -68,7 +74,7 @@ def test_estimate_inverse_csv_matches_golden():
 
 
 def test_estimate_csv_header_is_frozen():
-    cfg = RunConfig(t=1e-3, paths=64, seed=0)
+    cfg = RunConfig(t_ladder=(1e-3,), paths=64, seed=0)
     out = cmd_estimate(cfg)
     assert out.splitlines()[0] == "t,quantity,value,stderr,rate_value,ratio,n_paths,seed"
 
@@ -102,7 +108,7 @@ def test_predict_json_schema():
 
 
 def test_seventeen_digit_rendering_roundtrips():
-    out = cmd_estimate(RunConfig(exponent="stable:0.75", t=1e-3, paths=2048, seed=5))
+    out = cmd_estimate(RunConfig(exponent="stable:0.75", t_ladder=(1e-3,), paths=2048, seed=5))
     line = out.splitlines()[1].split(",")
     value = float(line[2])
     assert ("%.17g" % value) == line[2]
@@ -197,12 +203,67 @@ def test_config_file_unknown_key(tmp_path, capsys):
     ],
 )
 def test_config_file_choices_are_checked(tmp_path, capsys, line, message):
-    # argparse checks the flags' choices; RunConfig checks the same values
-    # when they come from a config file
+    # RunConfig is the one check of these values, from a config file or a
+    # flag (test_bad_choice_flags_get_the_config_message)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{line}\nexponent = stable:0.75\n")
     assert main(["estimate", "--config", str(cfgfile), "--t", "1e-3"]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("flag,message", [
+    (["--time-change", "both"], "time-change must be 'sub' or 'inv', got 'both'"),
+    (["--format", "xml"], "format must be 'csv' or 'json', got 'xml'"),
+], ids=["time-change", "format"])
+def test_bad_choice_flags_get_the_config_message(capsys, flag, message):
+    assert main(["estimate", "--exponent", "stable:0.75", "--t", "1e-3", *flag]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+_SAMPLE_VALUES = {
+    "exponent": "stable:0.25", "domain": "disk:2", "time-change": "inv", "t": "1e-3",
+    "t-ladder": "1e-2,1e-3", "paths": "64", "seed": "5", "workers": "2", "format": "json",
+    "out": "x.json", "suite": "all", "quick": "true", "tolerance": "0.1",
+}
+
+
+@pytest.mark.parametrize("key", list(_KEYS))
+def test_every_option_key_is_a_flag_and_a_config_key(key, tmp_path, monkeypatch):
+    monkeypatch.delenv("SUBHEAT_SEED", raising=False)
+    parser = _build_parser()
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {_SAMPLE_VALUES[key]}\n")
+    flag = ["--quick"] if key == "quick" else [f"--{key}", _SAMPLE_VALUES[key]]
+    verify_only = key in ("suite", "quick")
+    for command in ("predict", "estimate", "verify"):
+        if verify_only and command != "verify":
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, *flag])
+            continue
+        from_flag = _resolve_config(parser.parse_args([command, *flag]))
+        from_file = _resolve_config(parser.parse_args([command, "--config", str(cfgfile)]))
+        assert from_flag == from_file != RunConfig()
+
+
+def test_t_flag_overrides_a_config_ladder(tmp_path):
+    # --t and --t-ladder are one setting, so a flag of either beats the file
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("exponent = stable:0.75\nt-ladder = 1e-2,1e-3\npaths = 64\n")
+    code, text = _run_main(["estimate", "--config", str(cfgfile), "--t", "1e-4"], tmp_path)
+    assert code == 0
+    assert [line.split(",", 1)[0] for line in text.splitlines()[1:]] == ["0.0001", "0.0001"]
+
+
+@pytest.mark.parametrize("where", ["flags", "config"])
+def test_t_and_t_ladder_at_one_level_exit_2(tmp_path, capsys, where):
+    if where == "flags":
+        argv = ["estimate", "--t", "1e-4", "--t-ladder", "1e-2"]
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("t = 1e-4\nt-ladder = 1e-2\n")
+        argv = ["estimate", "--config", str(cfgfile)]
+    assert main([*argv, "--paths", "64"]) == 2
+    assert capsys.readouterr().err == "configuration error: give --t or --t-ladder, not both\n"
 
 
 def test_out_flag_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
@@ -340,6 +401,35 @@ def test_rate_value_inverts_phi_on_stiff_mixed_ladder(capsys):
     exp = parse_exponent("mixed:0.05*10+0.9")
     for row in rows:
         assert abs(phi(exp, row["rate_value"] ** -2.0) * row["t"] - 1.0) <= 1e-10
+
+
+def test_estimate_reads_the_rate_without_a_constant(capsys, monkeypatch):
+    # the rate is the clock's alone; predict still exits 3 on these inputs
+    # (test_exit_3_on_unsupported_configuration), since no constant exists
+    monkeypatch.delenv("SUBHEAT_SEED", raising=False)
+    argv = ["estimate", "--exponent", "stable:0.25", "--domain", "disk:1", "--t", "1e-4", "--paths", "4096"]
+    assert main([*argv, "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["quantity"] == "spectral" and row["rate_value"] == 1e-4
+    spec = TimeChangeSpec(Stable(0.25), Kind.SUBORDINATOR)
+    assert row["value"] == estimate(spec, Disk(1.0), 1e-4, 4096, RandomStream(0)).value
+    assert main(["estimate", "--exponent", "tempered:0.5,1", "--t", "1e-4", "--paths", "4096"]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--exponent", "tempered:0.5,1"]) == 3
+    assert "critical-regime limit requires" in capsys.readouterr().err
+
+
+def test_lowindex_estimate_skips_the_constant_quadrature():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys\n"
+        "from subheat.cli import main\n"
+        "code = main(['estimate', '--exponent', 'stable:0.25', '--t', '1e-4', '--paths', '64'])\n"
+        "print(code, 'scipy.integrate' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60.0)
+    assert done.stdout.decode().splitlines()[-1] == "0 False", done.stderr.decode()
 
 
 def test_exit_3_on_unsupported_configuration(capsys):
