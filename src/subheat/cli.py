@@ -123,6 +123,16 @@ def _parse_ladder(text: str) -> tuple[float, ...]:
     return vals
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of 1/true/yes/on or 0/false/no/off, got {text!r}") from None
+
+
 # each setting once: config key (the flag is --key) -> (RunConfig field,
 # parser of its text, help)
 _KEYS = {
@@ -137,7 +147,7 @@ _KEYS = {
     "format": ("fmt", str, "csv | json"),
     "out": ("out", str, "write the output to this file instead of stdout"),
     "suite": ("suite", str, "suite name or 'all'"),
-    "quick": ("quick", lambda s: s.lower() in ("1", "true", "yes", "on"), "reduced path counts"),
+    "quick": ("quick", _parse_bool, "reduced path counts"),
     "tolerance": ("tolerance", float, "relative tolerance of the suites' checks"),
 }
 

@@ -12,8 +12,12 @@ nonzero once t is of order 1e-8.
 
 Inverse clocks without a closed-form E_t are estimated by duality at small
 times: since {E_t > u} = {D_u < t}, E f(E_t) is the integral of
-f'(u) P(D_u < t), and each path scores one exact draw of D_u at a random u
-instead of walking a grid to the first passage of t.
+f'(u) P(D_u < t), and each path scores one draw at a random u instead of
+walking a grid to the first passage of t.  u comes from a defensive mixture
+concentrated below the Chernoff horizon u_bulk, past which P(D_u < t) < e^-2,
+with a share spread to the far horizon u_max, so the weights stay bounded;
+each path scores P(D_u < t) given the Kanter angle of the clock's last
+component and the plain draws of the others, so nearly every path scores.
 
 Each estimator is a block kernel, a few lines that turn one block's clock
 draws into the heat lost per path, run by the block engine samplers.run_blocks:
@@ -160,38 +164,54 @@ def _tilt_rate(exp):
     return sum(w * exp.theta**b for b, w in exp.components)
 
 
-def _duality_kernel(args, stream, lo, size, n):
-    # E f(E_t) = int f'(u) P(D_u < t) du for f = L - Q or H, both 0 at u = 0,
-    # since {E_t > u} = {D_u < t}.  u = u_max V^2 has density
-    # 1/(2 sqrt(u u_max)), which cancels the u^(-1/2) of f' at 0; one exact
-    # D_u per path, tilted by e^(u theta^b - theta D_u) when tempered, scores
-    # the indicator
-    spec, dom, t, quantity, u_max = args
-    exp = spec.exponent
-    rate = dom.ORACLES[quantity][1]
-    v = 1.0 - stream.uniforms(size)  # in (0, 1], so f'(u) stays finite
-    u = u_max * v * v
-    d = samplers.sample_untempered(exp, u, stream)
-    score = np.where(d < t, rate(dom, u) * (2.0 * u_max) * v, 0.0)
-    if exp.theta > 0.0:
-        score *= np.exp(u * _tilt_rate(exp) - exp.theta * np.minimum(d, t))
-    return score
-
-
+# The duality proposal in v = sqrt(u) is a defensive mixture (Hesterberg
+# 1995): uniform on (0, sqrt(u_bulk)] with probability 1 - _DEFENSIVE, where
+# the integrand is of order one, and on (0, sqrt(u_max)] otherwise, which keeps
+# every weight below sqrt(u_max)/_DEFENSIVE
+_DEFENSIVE = 0.1
+_CHERNOFF_BULK = 2.0  # P(D_u < t) is below e^-2 past the bulk horizon u_bulk
 _CHERNOFF_LOG = 700.0  # P(D_u < t) is below e^-700 past the horizon u_max
 
 
-def _duality_horizon(exp, t):
-    """u_max past which the duality integrand is negligible.
+def _duality_kernel(args, stream, lo, size, n):
+    # E f(E_t) = int f'(u) P(D_u < t) du for f = L - Q or H, both 0 at u = 0,
+    # since {E_t > u} = {D_u < t}.  In v = sqrt(u) the integrand
+    # f'(v^2) 2v P(D_{v^2} < t) is flat up to about sqrt(u0) and falls off
+    # steeply past it; v is drawn from the mixture density
+    # q(v) = a/sqrt(u_max) + (1 - a)/sqrt(u_bulk) 1{v <= sqrt(u_bulk)}, which is
+    # flat at 0, so 2v/q(v) cancels the u^(-1/2) of f'.  One draw of D_u given
+    # D_u < t per path scores P(D_u < t) given its Kanter angle and the other
+    # components, tilted by e^(u theta^b - theta D_u) when tempered
+    spec, dom, t, quantity, u_bulk, u_max = args
+    exp = spec.exponent
+    rate = dom.ORACLES[quantity][1]
+    a, root_max, root_bulk = _DEFENSIVE, math.sqrt(u_max), math.sqrt(u_bulk)
+    x = 1.0 - stream.uniforms(size)  # in (0, 1], so v > 0 and f'(v^2) stays finite
+    v = np.where(x <= a, x * (root_max / a), (x - a) * (root_bulk / (1.0 - a)))
+    q_bulk = a / root_max + (1.0 - a) / root_bulk
+    score = v * np.where(v <= root_bulk, 2.0 / q_bulk, 2.0 * root_max / a)  # 2v / q(v)
+    u = v * v
+    d, p = samplers.sample_untempered_below(exp, u, t, stream)
+    score *= rate(dom, u)
+    score *= p
+    if exp.theta > 0.0:
+        score *= np.exp(u * _tilt_rate(exp) - exp.theta * d)
+    return score
 
-    For every s > 0, P(D_u < t) <= e^(s t - u phi(s)) (Chernoff), so
-    u_max = min over s of (s t + 700)/phi(s) leaves out at most L e^-700 of
-    the heat lost.  The minimum is taken on a log grid of s around 1/t, where
-    it lies for every index; any s on the grid gives a valid bound.
+
+def _duality_horizons(exp, t):
+    """(u_bulk, u_max), past which P(D_u < t) is below e^-2 and e^-700.
+
+    For every s > 0, P(D_u < t) <= e^(s t - u phi(s)) (Chernoff), so past
+    min over s of (s t + c)/phi(s) it is below e^-c; u_max leaves out at
+    most L e^-700 of the heat lost.  Both minima are taken from one phi call
+    on a log grid of s around 1/t, where they lie for every index; any s on
+    the grid gives a valid bound.  The e^-2 bound lies below the e^-700 one
+    at every s, so u_bulk < u_max.
     """
-    log_s = np.minimum(np.linspace(-10.0, 30.0, 401) - math.log(t), 700.0)
-    log_bound = np.logaddexp(log_s + math.log(t), math.log(_CHERNOFF_LOG)) - np.log(phi(exp, np.exp(log_s)))
-    return float(np.exp(log_bound.min()))
+    s = np.exp(np.minimum(np.linspace(-10.0, 30.0, 401) - math.log(t), 700.0))
+    st, phi_s = s * t, phi(exp, s)
+    return tuple(float(((st + c) / phi_s).min()) for c in (_CHERNOFF_BULK, _CHERNOFF_LOG))
 
 
 def _clock_kernel(spec, dom, t, quantity):
@@ -210,7 +230,7 @@ def _clock_kernel(spec, dom, t, quantity):
     exp = spec.exponent
     if spec.kind is Kind.INVERSE:
         if spec.grid_step is None and not isinstance(exp, Stable) and _tilt_rate(exp) <= phi(exp, 1.0 / t):
-            return _duality_kernel, (spec, dom, t, quantity, _duality_horizon(exp, t))
+            return _duality_kernel, (spec, dom, t, quantity, *_duality_horizons(exp, t))
     elif quantity == "spectral" and _importance_sampled(exp, t, dom.saturation_clock):
         return _deficit_is_draws, (exp, dom, t)
     return _draw_kernel, (spec, dom, t, quantity)

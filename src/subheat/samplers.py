@@ -9,8 +9,9 @@ inverse variates use the exact first-passage identity for stable exponents and
 a grid first-passage walk with conditional bisection refinement otherwise;
 sample_clock picks the subordinator or the inverse sampler by the kind of a
 TimeChangeSpec.
-sample_untempered draws D_u at one clock time per path, which the duality
-estimator of inverse clocks scores in place of the grid walk at small times.
+sample_untempered_below draws D_u given D_u < t at one clock time per path,
+with the conditional probability of that event, which the duality estimator
+of inverse clocks scores in place of the grid walk at small times.
 run_blocks, the package's one Monte Carlo block driver, sits next to the
 streams it keys; its multi-worker calls share one process pool per process,
 made on first use and joined at interpreter exit.
@@ -347,12 +348,36 @@ def _stable_sum_block(components, t: float, stream: RandomStream, shape):
     return out
 
 
-def sample_untempered(exp: LaplaceExponent, u, stream: RandomStream):
-    """D at per-path clock times u (an array) for exp without its tempering:
-    one Kanter draw per component and path.  Weighted by the exponential
-    tilt e^(u theta^b - theta D), the draws follow the tempered law."""
+def sample_untempered_below(exp: LaplaceExponent, u, t: float, stream: RandomStream):
+    """D at per-path clock times u (an array) for exp without its tempering,
+    drawn given D < t, and the probability p of D < t given the draws.
+
+    A component (b, w) in Kanter form is (w u rho / E^(1-b))^(1/b), with
+    rho = A(U)^(1-b).  Every component but the last is drawn so, to d.  The
+    last is below r = t - d exactly when E exceeds
+    e* = (w u rho / r^b)^(1/(1-b)), so p = e^-e* (0 where d >= t) and, E
+    being memoryless, E = e* + Exp(1) draws it given D < t.  Each is one
+    power of a product, as in _kanter_power, so nothing leaves double range
+    near b = 0 or b = 1.  Weighted by p and the exponential tilt
+    e^(u theta^b - theta D), the draws score P(D_u < t) under the tempered law.
+    """
     u = np.asarray(u, dtype=float)
-    return _stable_sum_block(exp.components, u, stream, u.shape)
+    *rest, (b, w) = exp.components
+    d = 0.0
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        for b_i, w_i in rest:
+            rho = _kanter_ratio(np.maximum(stream.uniforms(u.shape), _OPEN_EPS), b_i)
+            d = d + (w_i * u * rho / stream.exponentials(u.shape) ** (1.0 - b_i)) ** (1.0 / b_i)
+        wu_rho = _kanter_ratio(np.maximum(stream.uniforms(u.shape), _OPEN_EPS), b)
+        wu_rho *= u
+        wu_rho *= w
+        e_star = (wu_rho / np.maximum(t - d, 0.0) ** b) ** (1.0 / (1.0 - b))
+        p = np.exp(-e_star)
+        e_star += stream.exponentials(u.shape)
+        wu_rho /= e_star ** (1.0 - b)
+        wu_rho **= 1.0 / b
+        wu_rho += d
+    return wu_rho, p
 
 
 def sample_subordinator(exp: LaplaceExponent, t: float, stream: RandomStream, size=None):

@@ -245,6 +245,25 @@ def test_every_option_key_is_a_flag_and_a_config_key(key, tmp_path, monkeypatch)
         assert from_flag == from_file != RunConfig()
 
 
+@pytest.mark.parametrize("text,quick", [("off", False), ("No", False), ("0", False), ("ON", True), ("yes", True)])
+def test_config_booleans_read_both_spellings(tmp_path, monkeypatch, text, quick):
+    monkeypatch.delenv("SUBHEAT_SEED", raising=False)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"quick = {text}\n")
+    args = _build_parser().parse_args(["verify", "--config", str(cfgfile)])
+    assert _resolve_config(args).quick is quick
+
+
+def test_config_boolean_typo_exits_2(tmp_path, capsys):
+    # a typo must not silently run the full-size suites
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("quick = ture\n")
+    assert main(["verify", "--suite", "expansion-identity", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: expected one of 1/true/yes/on or 0/false/no/off, got 'ture'\n"
+    )
+
+
 def test_t_flag_overrides_a_config_ladder(tmp_path):
     # --t and --t-ladder are one setting, so a flag of either beats the file
     cfgfile = tmp_path / "run.cfg"

@@ -33,7 +33,7 @@ from subheat import (
 )
 from subheat import samplers
 from subheat.diagnostics import _inverse_moment_kernel
-from subheat.estimators import _draw_kernel, _importance_sampled
+from subheat.estimators import _clock_kernel, _draw_kernel, _importance_sampled
 from subheat.samplers import BLOCK, combine_blocks
 
 UNIT = Interval(0.0, 1.0)
@@ -468,6 +468,58 @@ def test_duality_matches_the_grid_walk(text, t):
         walk = f(UNIT, e)
         se = math.hypot(float(walk.std(ddof=1)) / math.sqrt(n), dual.stderr)
         assert abs(float(walk.mean()) - dual.deficit) <= 4.0 * se
+
+
+def test_duality_scores_nearly_every_path():
+    # the mixture proposal sits where P(D_u < t) is of order one, and each
+    # path scores that probability given its Kanter angle, not an indicator
+    kernel, args = _clock_kernel(TimeChangeSpec(TemperedStable(0.5, 1.0), Kind.INVERSE), UNIT, 1e-3, "spectral")
+    scores = kernel(args, RandomStream(3), 0, 65_536, 65_536)
+    assert np.mean(scores > 0.0) >= 0.9
+
+
+@pytest.mark.parametrize(
+    "dom,quantity",
+    [(UNIT, "spectral"), (UNIT, "regular"), (Disk(1.0), "spectral")],
+    ids=["spectral", "regular", "disk"],
+)
+def test_duality_stderr_is_calibrated_at_small_path_counts(dom, quantity):
+    # 200 seeds of 512 paths, the size of one block of a short run: the
+    # weights of the defensive mixture are bounded, so the reported stderr
+    # holds even this far from the central limit
+    exp, t = TemperedStable(0.5, 1.0), 1e-3
+    rate = dom.ORACLES[quantity][1]
+    target = _half_tempered_inverse(1.0, t, rate, dom)
+    spec = TimeChangeSpec(exp, Kind.INVERSE)
+    ests = [estimate(spec, dom, t, 512, RandomStream(seed), quantity) for seed in range(200)]
+    z = np.array([(e.deficit - target) / e.stderr for e in ests])
+    assert 0.85 <= z.std(ddof=1) <= 1.15
+    assert np.abs(z).max() <= 5.0
+    se = math.sqrt(sum(e.stderr**2 for e in ests)) / len(ests)
+    assert abs(np.mean([e.deficit for e in ests]) - target) <= 4.0 * se
+
+
+def test_duality_reaches_one_percent_at_the_smallest_tempered_index():
+    exp, t, n = TemperedStable(0.25, 1.0), 1e-3, 512
+    dual = estimate_spectral_inverse(exp, UNIT, t, 65_536, RandomStream(7))
+    assert dual.stderr <= 0.01 * dual.deficit
+    spec = TimeChangeSpec(exp, Kind.INVERSE, grid_step=t * 1e-2)
+    walk = exact_deficit_interval(UNIT, samplers.sample_inverse(spec, t, RandomStream(5), n))
+    se = math.hypot(float(walk.std(ddof=1)) / math.sqrt(n), dual.stderr)
+    assert abs(float(walk.mean()) - dual.deficit) <= 4.0 * se
+
+
+@pytest.mark.parametrize("b,t", [(1e-3, 1.0), (1e-3, 1e-300), (0.999, 1e-3), (0.999, 1e-300)])
+def test_duality_meets_the_exact_stable_inverse_at_extreme_indexes(b, t):
+    # a one-component mixed clock takes the duality kernel, a stable one the
+    # closed form E_t = (t/S_1)^b: the same clock by two routes.  At b = 1e-3
+    # the powers 1/b and 1/(1-b) of the Kanter form are 1000 apart, so each
+    # draw must be one power of a product to stay in double range
+    dom = Interval(0.0, 100.0) if b < 0.5 else UNIT
+    for quantity in ("spectral", "regular"):
+        dual = estimate(TimeChangeSpec(MixedStable(((b, 1.0),)), Kind.INVERSE), dom, t, 65_536, RandomStream(4), quantity)
+        exact = estimate(TimeChangeSpec(Stable(b), Kind.INVERSE), dom, t, 65_536, RandomStream(5), quantity)
+        assert abs(dual.deficit - exact.deficit) <= 4.0 * math.hypot(dual.stderr, exact.stderr)
 
 
 def test_small_index_and_tiny_tempering_inverse_estimates():
