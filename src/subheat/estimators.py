@@ -164,10 +164,9 @@ def _tilt_rate(exp):
     return sum(w * exp.theta**b for b, w in exp.components)
 
 
-# The duality proposal in v = sqrt(u) is a defensive mixture (Hesterberg
-# 1995): uniform on (0, sqrt(u_bulk)] with probability 1 - _DEFENSIVE, where
-# the integrand is of order one, and on (0, sqrt(u_max)] otherwise, which keeps
-# every weight below sqrt(u_max)/_DEFENSIVE
+# share of the duality proposal spread up to the far horizon u_max, a
+# defensive mixture (Hesterberg 1995) that keeps every weight 1/q(v) below
+# sqrt(u_max)/_DEFENSIVE
 _DEFENSIVE = 0.1
 _CHERNOFF_BULK = 2.0  # P(D_u < t) is below e^-2 past the bulk horizon u_bulk
 _CHERNOFF_LOG = 700.0  # P(D_u < t) is below e^-700 past the horizon u_max

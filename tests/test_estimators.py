@@ -514,7 +514,9 @@ def test_duality_meets_the_exact_stable_inverse_at_extreme_indexes(b, t):
     # a one-component mixed clock takes the duality kernel, a stable one the
     # closed form E_t = (t/S_1)^b: the same clock by two routes.  At b = 1e-3
     # the powers 1/b and 1/(1-b) of the Kanter form are 1000 apart, so each
-    # draw must be one power of a product to stay in double range
+    # draw must be one power of a product to stay in double range.  E_t at
+    # b = 1e-3 is of order 1 even at t = 1e-300, so a long interval keeps the
+    # deficit off saturation
     dom = Interval(0.0, 100.0) if b < 0.5 else UNIT
     for quantity in ("spectral", "regular"):
         dual = estimate(TimeChangeSpec(MixedStable(((b, 1.0),)), Kind.INVERSE), dom, t, 65_536, RandomStream(4), quantity)
