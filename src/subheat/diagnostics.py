@@ -89,7 +89,7 @@ def _levy_integral(exp, f) -> float:
 def _levy_kernel(args, stream, lo, size, n):
     exp, f, t, use_is = args
     if use_is:
-        d, w = _is_stable_draws(exp.beta, t, _LEVY_IS_CAP, size, stream)
+        d, w = _is_stable_draws(exp.beta, t, _LEVY_IS_CAP, stream.uniforms(size), stream.uniforms(size))
         return f(d) * w / t
     return f(samplers.sample_subordinator(exp, t, stream, size)) / t
 

@@ -9,6 +9,10 @@ inverse variates use the exact first-passage identity for stable exponents and
 a grid first-passage walk with conditional bisection refinement otherwise;
 sample_clock picks the subordinator or the inverse sampler by the kind of a
 TimeChangeSpec.
+sobol_uniforms draws scrambled Sobol nets (Joe-Kuo direction numbers,
+Matousek's linear scramble and a digital shift, all randomness from the
+stream), which the importance-sampled estimator feeds its clock draws with;
+stable_from_uniforms turns two such columns into stable marginals.
 sample_untempered_below draws D_u given D_u < t at one clock time per path,
 with the conditional probability of that event, which the duality estimator
 of inverse clocks scores in place of the grid walk at small times.
@@ -72,6 +76,10 @@ class RandomStream:
     def normals(self, size=None):
         return self._gen.standard_normal(size)
 
+    def words(self, size=None):
+        """Uniform random 64-bit words."""
+        return self._gen.bit_generator.random_raw(size)
+
     def spawn(self, offset: int) -> "RandomStream":
         """Fresh stream for the path block starting at index offset."""
         return RandomStream(self.seed, self.stream_key + int(offset))
@@ -89,6 +97,86 @@ class Estimate:
     n_paths: int
     seed: int
     wall_time: float
+
+
+# Joe-Kuo (2008) Sobol m-values m_1..m_12 of the first eight dimensions, the
+# first being van der Corput's; as in scipy.stats.qmc.Sobol, direction number
+# j has the bits of m_j ending at bit j from the top of a 12-bit word
+_SOBOL_M = (
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (1, 3, 5, 15, 17, 51, 85, 255, 257, 771, 1285, 3855),
+    (1, 3, 3, 9, 29, 23, 71, 197, 209, 627, 1907, 1369),
+    (1, 3, 1, 5, 31, 29, 81, 147, 433, 149, 719, 3693),
+    (1, 1, 1, 11, 31, 55, 61, 157, 181, 191, 1291, 3851),
+    (1, 1, 3, 3, 25, 9, 43, 251, 449, 449, 1347, 323),
+    (1, 3, 5, 13, 11, 37, 31, 227, 381, 143, 241, 3889),
+    (1, 1, 5, 5, 17, 9, 9, 45, 237, 633, 65, 1601),
+)
+SOBOL_LOG2_MAX = len(_SOBOL_M[0])  # nets of up to 2^12 points
+SOBOL_DIMS = len(_SOBOL_M)
+_FRACTION_BITS = 52
+_SOBOL_DIRECTIONS = np.array(_SOBOL_M, dtype=np.uint64) << np.arange(SOBOL_LOG2_MAX - 1, -1, -1, dtype=np.uint64)
+_ONE_BITS = np.float64(1.0).view(np.uint64)  # exponent bits of [1, 2)
+
+
+def _xor_span(v):
+    """XOR of every subset of the words along v's last axis: entry i of the
+    result XORs the words at the set bits of i."""
+    out = np.zeros(v.shape[:-1] + (1,), dtype=np.uint64)
+    for j in range(v.shape[-1]):
+        out = np.concatenate((out, out ^ v[..., j : j + 1]), axis=-1)
+    return out
+
+
+def sobol_net(log2_points, directions=_SOBOL_DIRECTIONS, shift=np.uint64(0), out=None):
+    """Words of the first 2^log2_points Sobol points in natural order, each
+    XORed with shift, for each row of direction numbers; written to out if
+    given, an array of the result's size.
+
+    Point i XORs the direction numbers at the set bits of i, so it is
+    T_hi[i >> k] ^ T_lo[i & (2^k - 1)]: one broadcast XOR per point and
+    dimension, of two tables of at most 64 words each.
+    """
+    k = min(log2_points, 6)
+    lo = _xor_span(directions[..., :k]) ^ shift
+    hi = _xor_span(directions[..., k:log2_points])
+    if out is not None:
+        out = out.reshape(hi.shape + lo.shape[-1:])
+    return np.bitwise_xor(hi[..., :, None], lo[..., None, :], out=out).reshape(directions.shape[:-1] + (-1,))
+
+
+def sobol_uniforms(stream: RandomStream, dims: int, reps: int, log2_points: int):
+    """Uniforms strictly inside (0, 1), shaped (dims, reps * 2^log2_points):
+    along each row, reps independent randomizations of the first
+    2^log2_points points of a Sobol sequence, one after the other.
+
+    Each randomization is Matousek's linear matrix scramble plus a digital
+    shift of the 52 fraction bits, both drawn from stream, which makes every
+    point uniform on the unit cube and keeps each net's stratification: each
+    coordinate of a net has exactly one point in each interval
+    [k/2^m, (k+1)/2^m).  Only the m direction numbers the points use are
+    scrambled.  Rows past the SOBOL_DIMS checked-in dimensions are Philox
+    uniforms, so any number of rows is still an unbiased draw.
+    """
+    m, q = log2_points, min(dims, SOBOL_DIMS)
+    if not 0 <= m <= SOBOL_LOG2_MAX:
+        raise ValueError(f"nets hold 1 to 2^{SOBOL_LOG2_MAX} points, got 2^{m}")
+    # column b of the lower-triangular scramble: bit b from the top, random bits below it
+    lead = np.uint64(1) << np.arange(_FRACTION_BITS - 1, _FRACTION_BITS - 1 - m, -1, dtype=np.uint64)
+    cols = stream.words((q, reps, m)) & (lead - np.uint64(1)) | lead
+    # top bits of each direction number, as a (dims, m, m) mask over the columns
+    top = _SOBOL_DIRECTIONS[:q, :m, None] >> np.arange(SOBOL_LOG2_MAX - 1, SOBOL_LOG2_MAX - 1 - m, -1, dtype=np.uint64)
+    uses = (top & np.uint64(1)).astype(bool)[:, None]
+    scrambled = np.bitwise_xor.reduce(np.where(uses, cols[:, :, None, :], np.uint64(0)), axis=-1)
+    shift = stream.words((q, reps, 1)) >> np.uint64(64 - _FRACTION_BITS) | _ONE_BITS
+    out = np.empty((dims, reps << m))
+    # the words are the fraction bits x of 1 + x 2^-52; taking 1 - 2^-53 off
+    # leaves (x + 1/2) 2^-52, exactly, in [2^-53, 1 - 2^-53]
+    sobol_net(m, scrambled, shift, out[:q].view(np.uint64))
+    out[:q] -= 1.0 - 2.0**-53
+    if dims > q:
+        out[q:] = np.maximum(stream.uniforms((dims - q, reps << m)), _OPEN_EPS)
+    return out
 
 
 def combine_blocks(parts):
@@ -151,8 +239,9 @@ def run_blocks(kernel, args, n, stream, workers=1):
 
     kernel(args, stream, lo, size, n) is a module-level function returning the
     values of paths lo .. lo+size-1, drawn from stream.spawn(lo), the block's
-    own stream; a kernel may return several rows of values from the same
-    draws, and then one (mean, stderr) pair per row is returned.  Blocks are
+    own stream, or the means of independent replicates of them; a kernel may
+    return several rows of values from the same draws, and then one
+    (mean, stderr) pair per row is returned.  Blocks are
     combined by combine_blocks in block order, so results are bit-identical
     for any worker count.  With more than one worker and more than one block
     the blocks run in the process's one pool of min(workers, CPUs) processes,
@@ -286,7 +375,19 @@ def _kanter_power(u, e, beta: float):
 
 def _stable_block(beta: float, t: float, stream: RandomStream, shape):
     """iid S_t variates of the given shape via Kanter's representation."""
-    u, s, e = _kanter_variates(beta, stream, shape)
+    return _kanter_stable(beta, t, *_kanter_variates(beta, stream, shape))
+
+
+def stable_from_uniforms(beta: float, t: float, u, w):
+    """S_t from uniforms u and w strictly inside (0, 1), one per value: the
+    Kanter angle A(u) and the exponential variate E = -log w."""
+    e = -np.log(w)
+    with np.errstate(over="ignore"):
+        return _kanter_stable(beta, t, u, kanter_angle(u, beta), e)
+
+
+def _kanter_stable(beta: float, t: float, u, s, e):
+    """S_t = t^(1/beta) (A(u)/e)^((1-beta)/beta), formed in s = A(u)."""
     with np.errstate(over="ignore"):
         s /= e
         over = np.isinf(s)

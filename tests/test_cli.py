@@ -451,6 +451,31 @@ def test_lowindex_estimate_skips_the_constant_quadrature():
     assert done.stdout.decode().splitlines()[-1] == "0 False", done.stderr.decode()
 
 
+def test_importance_sampled_estimate_skips_scipy_stats():
+    # the scrambled nets come from checked-in direction numbers: importing
+    # scipy.stats for its Sobol generator alone adds about 0.5 s to start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys\n"
+        "from subheat.cli import main\n"
+        "code = main(['estimate', '--exponent', 'mixed:0.25*1+0.5*1', '--t', '1e-6', '--paths', '64'])\n"
+        "print(code, 'scipy.stats' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60.0)
+    assert done.stdout.decode().splitlines()[-1] == "0 False", done.stderr.decode()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_critical_ladder_falls_at_quick_path_counts(seed, capsys):
+    # the exact ratios fall by about 1% a rung (1.3238, 1.3111 and 1.3036
+    # at 1e-6, 1e-8 and 1e-10), and critical-monotone asks that the
+    # estimates fall too, with no allowance for their stderr
+    assert main(["verify", "--suite", "critical-limit", "--quick", "--seed", str(seed)]) == 0
+    checks = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+    assert {c["name"]: c["passed"] for c in checks} == {"critical-monotone": True, "critical-final": True}
+
+
 def test_exit_3_on_unsupported_configuration(capsys):
     code = main(["predict", "--exponent", "stable:0.25", "--domain", "disk:1"])
     assert code == 3

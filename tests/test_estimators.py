@@ -33,7 +33,7 @@ from subheat import (
 )
 from subheat import samplers
 from subheat.diagnostics import _inverse_moment_kernel
-from subheat.estimators import _clock_kernel, _draw_kernel, _importance_sampled
+from subheat.estimators import _clock_kernel, _deficit_is_draws, _draw_kernel, _importance_sampled
 from subheat.samplers import BLOCK, combine_blocks
 
 UNIT = Interval(0.0, 1.0)
@@ -86,15 +86,22 @@ def test_spectral_subordinate_matches_series_oracle(exp, t, kmax):
         (TemperedStable(0.5, 1.0), UNIT, Kind.INVERSE, "spectral"),
         (MixedStable(((0.25, 1.0), (0.5, 1.0))), UNIT, Kind.INVERSE, "regular"),
         (TemperedStable(0.5, 1.0), Disk(1.0), Kind.INVERSE, "spectral"),
+        (Stable(0.25), UNIT, Kind.SUBORDINATOR, "spectral"),
+        (TemperedStable(0.25, 1.0), UNIT, Kind.SUBORDINATOR, "spectral"),
+        (MixedStable(((0.25, 1.0), (0.5, 1.0))), UNIT, Kind.SUBORDINATOR, "spectral"),
+        (Stable(0.25), Disk(1.0), Kind.SUBORDINATOR, "spectral"),
     ],
     ids=[
         "spectral-sub", "spectral-inv", "regular-sub", "regular-inv", "disk-sub", "disk-inv",
         "spectral-inv-duality", "regular-inv-duality", "disk-inv-duality",
+        "spectral-sub-is", "spectral-sub-is-tempered", "spectral-sub-is-mixed", "disk-sub-is",
     ],
 )
 def test_worker_bit_identity(exp, dom, kind, quantity):
     # the shared worker pool pickles each kernel and its arguments; a ragged
-    # last block checks that the block keys do not depend on the schedule
+    # last block checks that the block keys do not depend on the schedule,
+    # and on the importance-sampled route that each block's scrambled nets
+    # come from its own stream
     n = 2 * BLOCK + 17
     spec = TimeChangeSpec(exp, kind)
     a = estimate(spec, dom, 1e-3, n, RandomStream(9), quantity, workers=1)
@@ -169,12 +176,15 @@ def test_broken_pool_is_dropped_and_the_next_call_starts_afresh():
     assert samplers.run_blocks(_draw_kernel, args, 3 * BLOCK, RandomStream(5), 2) == serial
 
 
-def test_mixed_telescoped_worker_bit_identity():
-    exp = MixedStable(((0.25, 1.0), (0.5, 1.0)))
-    a = estimate_spectral_subordinate(exp, UNIT, 1e-6, 3 * BLOCK, RandomStream(9), workers=1)
-    b = estimate_spectral_subordinate(exp, UNIT, 1e-6, 3 * BLOCK, RandomStream(9), workers=2)
-    assert a.value == b.value
-    assert a.stderr == b.stderr
+@pytest.mark.parametrize("n", [2, 17])
+@pytest.mark.parametrize("text", ["stable:0.25", "tempered:0.25,1", "mixed:0.25*1+0.5*1"])
+def test_importance_sampled_stderr_is_finite_at_any_path_count(text, n):
+    # the stderr comes from the spread of the scrambled nets' means, and an
+    # n-path estimate has at least two nets however small n is
+    kernel, args = _clock_kernel(TimeChangeSpec(parse_exponent(text), Kind.SUBORDINATOR), UNIT, 1e-6, "spectral")
+    assert kernel is _deficit_is_draws
+    est = estimate_spectral_subordinate(parse_exponent(text), UNIT, 1e-6, n, RandomStream(3))
+    assert math.isfinite(est.deficit) and math.isfinite(est.stderr) and est.stderr > 0.0
 
 
 @pytest.mark.parametrize(
@@ -352,6 +362,53 @@ def test_importance_sampling_beats_plain_for_deep_t():
     deficit_est = UNIT.volume - est.value
     assert deficit_est == pytest.approx(deficit_true, rel=0.08)
     assert est.stderr < 0.03 * deficit_true
+
+
+def _interval_subordinate_deficit(exp, t, head=20_000):
+    # E[1 - Q(D_t)] on (0, 1): the sum over odd k of
+    # 8/(k pi)^2 (1 - e^(-t phi((k pi)^2))); the terms past the head are the
+    # integral of the same term from 2 head on, halved (the midpoint rule on
+    # the odd integers), taken in log k over pieces short enough for quad to
+    # see the knee at k pi ~ t^(-1/(2b))
+    k = 2.0 * np.arange(head) + 1.0
+
+    def term(k):
+        return 8.0 / (k * np.pi) ** 2 * -np.expm1(-t * phi(exp, (k * np.pi) ** 2))
+
+    def integrand(y):
+        return float(term(math.exp(y))) * math.exp(y) / 2.0
+
+    y0 = math.log(2.0 * head)
+    tail = sum(integrate.quad(integrand, a, a + 10.0, limit=200)[0] for a in y0 + np.arange(0.0, 80.0, 10.0))
+    return float(np.sum(term(k))) + tail
+
+
+@pytest.mark.parametrize(
+    "text,dom,t",
+    [
+        pytest.param(text, dom, t, id=f"{text}-{type(dom).__name__.lower()}-{t:g}")
+        for text, dom in (
+            ("stable:0.5", UNIT),
+            ("stable:0.25", UNIT),
+            ("tempered:0.25,1", UNIT),
+            ("mixed:0.25*1+0.5*1", UNIT),
+            ("stable:0.25", Disk(1.0)),
+        )
+        for t in (1e-4, 1e-10)
+    ],
+)
+def test_importance_sampled_stderr_is_calibrated(text, dom, t):
+    # 200 seeds of 8,192 paths, each 64 scrambled nets of 128 points: the
+    # reported stderr, taken from the nets' spread, holds against the exact
+    # deficit
+    exp = parse_exponent(text)
+    assert _importance_sampled(exp, t, dom.saturation_clock)
+    target = _interval_subordinate_deficit(exp, t) if dom is UNIT else _disk_subordinate_deficit(exp, t)
+    spec = TimeChangeSpec(exp, Kind.SUBORDINATOR)
+    ests = [estimate(spec, dom, t, 8192, RandomStream(seed)) for seed in range(200)]
+    z = np.array([(e.deficit - target) / e.stderr for e in ests])
+    assert 0.85 <= z.std(ddof=1) <= 1.15
+    assert np.abs(z).max() <= 5.0
 
 
 # ------------------------------------------------------ importance switch
