@@ -1,21 +1,22 @@
 """Closed-form small-time limits: rates, constants, expansions, rate fitting.
 
-The limit of (|Omega| - Qtilde(t)) / rate(t) depends on the time change only
-through the regime of its Laplace exponent: leading index above 1/2 gives a
-subordinator-moment constant, exactly 1/2 gives a t log(1/t) rate, below 1/2
-gives a linear rate whose constant is a Levy-measure integral, and inverse
-time changes give a universal Gamma constant at rate [phi(1/t)]^(-1/2).
+The heat lost by time t over a rate r(t) tends to a constant.  Each regime
+is one SmallTimeLimit record, looked up by (Kind, Regime): inverse clocks
+(a universal Gamma(1 + b/2) constant at rate [phi(1/t)]^(-1/2)), and
+subordinators of leading index above 1/2 (a moment constant), exactly 1/2
+(rate t log(1/t)) and below 1/2 (rate t, a Levy-measure integral constant).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammainc
 
-from .heat_oracles import Interval
+from .heat_oracles import REGULAR, SPECTRAL, Interval, Quantity
 from .levy_exponents import (
     LaplaceExponent,
     Regime,
@@ -55,77 +56,17 @@ def inverse_moment(beta: float, p: float) -> float:
     return gamma_fn(p + 1.0) / gamma_fn(p * beta + 1.0)
 
 
-def running_max_constant(kind: str, beta: float) -> float:
-    """Expected running maximum of Brownian motion over a random horizon.
-
-    kind="stable": horizon S_1, value E[S_1^(1/2)] * 2/sqrt(pi).
-    kind="inverse": horizon E_1, value 1/Gamma(beta/2 + 1).
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0,1), got {beta}")
-    if kind == "stable":
-        return stable_moment(beta, 0.5) * 2.0 / math.sqrt(math.pi)
-    if kind == "inverse":
-        return 1.0 / gamma_fn(beta / 2.0 + 1.0)
-    raise ValueError(f"kind must be 'stable' or 'inverse', got {kind!r}")
-
-
-@dataclass(frozen=True)
-class RateFunction:
-    """One of the four canonical small-time rates, evaluable on (0,1)."""
-
-    name: str  # "phi-inverse-sqrt" | "t-log" | "t" | "phi-sqrt"
-    exp: LaplaceExponent | None = None
-
-    def __call__(self, t):
-        if self.name == "phi-inverse-sqrt":
-            if np.isscalar(t):
-                return phi_inverse(self.exp, 1.0 / t) ** -0.5
-            return np.array([phi_inverse(self.exp, 1.0 / ti) ** -0.5 for ti in np.asarray(t)])
-        if self.name == "t-log":
-            return t * np.log(1.0 / t)
-        if self.name == "t":
-            return t
-        if self.name == "phi-sqrt":
-            return phi(self.exp, 1.0 / np.asarray(t, dtype=float)) ** -0.5
-        raise ValueError(f"unknown rate {self.name!r}")
-
-    @property
-    def label(self) -> str:
-        if self.name == "phi-inverse-sqrt":
-            if isinstance(self.exp, Stable):
-                return f"t^({1.0 / (2.0 * self.exp.beta):g})"
-            return "[phi_inv(1/t)]^(-1/2)"
-        if self.name == "t-log":
-            return "t*log(1/t)"
-        if self.name == "t":
-            return "t"
-        if isinstance(self.exp, Stable):
-            return f"t^({self.exp.beta / 2.0:g})"
-        return "[phi(1/t)]^(-1/2)"
-
-
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    rate: RateFunction
-    constant: float
-    theorem_tag: str
-
-    def rate_value(self, t):
-        return self.rate(t)
-
-
-def _critical_leading_weight(exp) -> float:
-    """Weight of the exact-1/2 leading term, or raise if the critical limit
-    is not covered for this exponent (it needs phi = w sqrt(s) + lower order
-    with the remainder itself a Laplace exponent of smaller index)."""
+def _critical_constant(exp, dom, quantity) -> float:
+    """2|dOmega|/pi w for phi = w sqrt(s) + lower order, the remainder itself
+    a Laplace exponent of smaller index; other critical exponents are not
+    covered and raise."""
     b, w = exp.components[-1]
-    if b == 0.5 and exp.theta == 0.0:
-        return w
-    raise UnsupportedConfigurationError(
-        "critical-regime limit requires leading term exactly sqrt(s); "
-        f"{exp!r} is not of that form"
-    )
+    if b != 0.5 or exp.theta != 0.0:
+        raise UnsupportedConfigurationError(
+            "critical-regime limit requires leading term exactly sqrt(s); "
+            f"{exp!r} is not of that form"
+        )
+    return quantity.share * 2.0 * dom.surface / math.pi * w
 
 
 def _sqrt_weight_integral(exp) -> float:
@@ -142,7 +83,7 @@ def _sqrt_weight_integral(exp) -> float:
     return total
 
 
-def lowindex_constant(exp, dom: Interval, quantity: str = "spectral", epsrel: float = 1e-10) -> float:
+def lowindex_constant(exp, dom: Interval, quantity: Quantity = SPECTRAL, epsrel: float = 1e-10) -> float:
     """Levy-measure integral giving the linear-rate constant for leading index < 1/2.
 
     spectral: integral of (|Omega| - Q(u)) nu(du); regular: integral of H(u) nu(du),
@@ -150,13 +91,18 @@ def lowindex_constant(exp, dom: Interval, quantity: str = "spectral", epsrel: fl
     process. Split as closed-form kappa sqrt(u) part on (0,1) plus a smooth
     residual (exponentially small below L^2/10) plus a log-substituted tail.
     """
+    if not isinstance(dom, Interval):
+        raise UnsupportedConfigurationError(
+            "low-index constant is a quadrature against the exact interval oracle; "
+            "disk domains are not supported in this regime"
+        )
     from scipy import integrate  # imported here, where it is used, to keep start-up short
 
     L = dom.length
-    content = dom.ORACLES[quantity][0]
-    # the flat-boundary short-time coefficient of f: 2/sqrt(pi) per boundary
-    # point for the deficit, half that for H
-    kappa = (4.0 if quantity == "spectral" else 2.0) / math.sqrt(math.pi)
+    content = dom.ORACLES[quantity.name][0]
+    # the flat-boundary short-time coefficient of f: 2/sqrt(pi) per unit of
+    # boundary for the deficit, the quantity's share of that for H
+    kappa = quantity.share * 2.0 * dom.surface / math.sqrt(math.pi)
 
     part_singular = kappa * _sqrt_weight_integral(exp)
 
@@ -174,57 +120,103 @@ def lowindex_constant(exp, dom: Interval, quantity: str = "spectral", epsrel: fl
     return part_singular + part_res + part_tail
 
 
+def _phi_inverse_sqrt(exp, t):
+    if np.ndim(t) == 0:
+        return phi_inverse(exp, 1.0 / t) ** -0.5
+    return np.array([phi_inverse(exp, 1.0 / ti) ** -0.5 for ti in np.asarray(t)])
+
+
+@dataclass(frozen=True)
+class SmallTimeLimit:
+    """One small-time regime: the rate r(t) = rate(exp, t), printed as
+    label(exp), that the heat lost divides by; its limit constant(exp, dom,
+    quantity); the theorem's tag, which the quantity's tag_suffix completes;
+    and fit_variable(t), in which fit_rate extrapolates the ratios to t = 0."""
+
+    tag: str
+    rate: Callable
+    label: Callable
+    constant: Callable
+    fit_variable: Callable = math.sqrt
+
+
+# the mean running maximum of Brownian motion over E_1 per unit of boundary
+INVERSE_LIMIT = SmallTimeLimit(
+    "inverse-limit",
+    lambda exp, t: phi(exp, 1.0 / np.asarray(t, dtype=float)) ** -0.5,
+    lambda exp: f"t^({exp.beta / 2.0:g})" if isinstance(exp, Stable) else "[phi(1/t)]^(-1/2)",
+    lambda exp, dom, q: q.share * dom.surface / gamma_fn(leading_index(exp) / 2.0 + 1.0),
+)
+# the mean running maximum over S_1, E[S_1^(1/2)] 2/sqrt(pi), likewise
+HIGHINDEX_LIMIT = SmallTimeLimit(
+    "highindex-limit",
+    _phi_inverse_sqrt,
+    lambda exp: f"t^({1.0 / (2.0 * exp.beta):g})" if isinstance(exp, Stable) else "[phi_inv(1/t)]^(-1/2)",
+    lambda exp, dom, q: q.share * stable_moment(leading_index(exp), 0.5) * 2.0 * dom.surface / math.sqrt(math.pi),
+)
+CRITICAL_LIMIT = SmallTimeLimit(
+    "critical-limit",
+    lambda exp, t: t * np.log(1.0 / t),
+    lambda exp: "t*log(1/t)",
+    _critical_constant,
+    lambda t: 1.0 / math.log(1.0 / t),
+)
+LOWINDEX_LIMIT = SmallTimeLimit("lowindex-limit", lambda exp, t: t, lambda exp: "t", lowindex_constant)
+
+# the regime of a clock: an inverse clock's is the same at every index
+_LIMITS = {
+    **{(Kind.INVERSE, reg): INVERSE_LIMIT for reg in Regime},
+    (Kind.SUBORDINATOR, Regime.HIGH_INDEX): HIGHINDEX_LIMIT,
+    (Kind.SUBORDINATOR, Regime.CRITICAL): CRITICAL_LIMIT,
+    (Kind.SUBORDINATOR, Regime.LOW_INDEX): LOWINDEX_LIMIT,
+}
+
+
+@dataclass(frozen=True)
+class RateFunction:
+    """A regime's small-time rate on one clock, evaluable on (0,1)."""
+
+    limit: SmallTimeLimit
+    exp: LaplaceExponent
+
+    def __call__(self, t):
+        return self.limit.rate(self.exp, t)
+
+    @property
+    def label(self) -> str:
+        return self.limit.label(self.exp)
+
+
+@dataclass(frozen=True)
+class AsymptoticPrediction:
+    rate: RateFunction
+    constant: float
+    theorem_tag: str
+
+
 def small_time_rate(exp, kind) -> RateFunction:
     """The rate that the heat lost divides by as t -> 0.
 
     It depends on the clock alone: the time change and the regime of its
     exponent. Only the constant depends on the domain and the quantity.
     """
-    kind = Kind(kind) if isinstance(kind, str) else kind
-    if kind is Kind.INVERSE:
-        return RateFunction("phi-sqrt", exp)
-    reg = regime(exp)
-    if reg is Regime.HIGH_INDEX:
-        return RateFunction("phi-inverse-sqrt", exp)
-    if reg is Regime.CRITICAL:
-        return RateFunction("t-log")
-    return RateFunction("t")
+    return RateFunction(_LIMITS[Kind(kind), regime(exp)], exp)
 
 
-def _predict(exp, dom, kind, quantity: str) -> AsymptoticPrediction:
+def _predict(exp, dom, kind, quantity: Quantity) -> AsymptoticPrediction:
     rate = small_time_rate(exp, kind)
-    b = leading_index(exp)
-    surface = dom.surface
-    half = 0.5 if quantity == "regular" else 1.0
-    if rate.name == "phi-sqrt":
-        const = half * surface / gamma_fn(b / 2.0 + 1.0)
-        tag = "inverse-limit"
-    elif rate.name == "phi-inverse-sqrt":
-        const = half * stable_moment(b, 0.5) * 2.0 * surface / math.sqrt(math.pi)
-        tag = "highindex-limit"
-    elif rate.name == "t-log":
-        w = _critical_leading_weight(exp)
-        const = half * 2.0 * surface / math.pi * w
-        tag = "critical-limit"
-    else:
-        if not isinstance(dom, Interval):
-            raise UnsupportedConfigurationError(
-                "low-index constant is a quadrature against the exact interval oracle; "
-                "disk domains are not supported in this regime"
-            )
-        const = lowindex_constant(exp, dom, quantity)
-        tag = "lowindex-limit"
-    return AsymptoticPrediction(rate, const, tag + ("-regular" if quantity == "regular" else ""))
+    limit = rate.limit
+    return AsymptoticPrediction(rate, limit.constant(exp, dom, quantity), limit.tag + quantity.tag_suffix)
 
 
 def predict_spectral(exp, dom, kind) -> AsymptoticPrediction:
     """Small-time limit of (|Omega| - Qtilde(t)) / rate(t)."""
-    return _predict(exp, dom, kind, "spectral")
+    return _predict(exp, dom, kind, SPECTRAL)
 
 
 def predict_regular(exp, dom, kind) -> AsymptoticPrediction:
     """Small-time limit of H(t) / rate(t)."""
-    return _predict(exp, dom, kind, "regular")
+    return _predict(exp, dom, kind, REGULAR)
 
 
 def expansion(beta: float, coefficients) -> list[tuple[float, float]]:
@@ -268,13 +260,9 @@ def fit_rate(samples, prediction: AsymptoticPrediction, tolerance: float = 0.05)
     ts = [p[0] for p in pts]
     if not all(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError("rate ladder must have strictly decreasing t")
-    ratios = tuple(v / prediction.rate_value(t) for t, v, _ in pts)
-    if prediction.rate.name == "t-log":
-        xs = [1.0 / math.log(1.0 / t) for t in ts]
-    else:
-        xs = [math.sqrt(t) for t in ts]
-    r1, r0 = ratios[-1], ratios[-2]
-    x1, x0 = xs[-1], xs[-2]
+    ratios = tuple(v / prediction.rate(t) for t, v, _ in pts)
+    r0, r1 = ratios[-2:]
+    x0, x1 = (prediction.rate.limit.fit_variable(t) for t in ts[-2:])
     limit = r1 + (r1 - r0) * x1 / (x0 - x1)
     rel_dev = abs(limit - prediction.constant) / abs(prediction.constant)
     return FitReport(ratios, limit, rel_dev, tolerance, rel_dev <= tolerance)

@@ -294,7 +294,7 @@ def _check(name, target, achieved, tol):
 
 def _ratio_check(name, est, pred, t, rel_tol, extra_tol_se=4.0):
     # the heat lost at t over pred's rate, against pred's constant
-    rate = float(pred.rate_value(t))
+    rate = float(pred.rate(t))
     tol = max(extra_tol_se * est.stderr / rate, rel_tol * abs(pred.constant))
     return _check(name, pred.constant, est.deficit / rate, tol)
 

@@ -5,11 +5,11 @@ domain and quantity: the domain's ORACLES table maps the quantity to its
 exact heat lost f(dom, u) and rate f'(u), and nothing else depends on the
 domain.  All estimation is Rao-Blackwellized: a path of the time change is
 drawn, then f at that clock value replaces the Brownian indicator.  Deep-time
-spectral subordinator runs (leading index <= 1/2) additionally use importance
-sampling on the Kanter representation while the deficit |Omega| - Q is a rare
-event of the clock, because plain draws almost never land where it is
-nonzero once t is of order 1e-8.  Each weighted path is a smooth function of
-two uniforms per stable component, so that route draws them from scrambled
+subordinator runs (leading index <= 1/2) of a content |Omega| - f, the
+spectral one, use importance sampling on the Kanter representation while f
+is a rare event of the clock, because plain draws almost never land where it
+is nonzero once t is of order 1e-8.  Each weighted path is a smooth function
+of two uniforms per stable component, so that route draws them from scrambled
 Sobol nets, which integrate such functions far faster than n^(-1/2) (Owen
 1997), and takes its stderr from the spread of independently scrambled nets.
 The plain and duality routes stay on Philox streams.
@@ -41,6 +41,7 @@ import time
 import numpy as np
 
 from . import samplers
+from .heat_oracles import QUANTITIES
 from .levy_exponents import Regime, Stable, phi, regime
 from .samplers import (
     Estimate,
@@ -256,7 +257,7 @@ def _clock_kernel(spec, dom, t, quantity):
     if spec.kind is Kind.INVERSE:
         if spec.grid_step is None and not isinstance(exp, Stable) and _tilt_rate(exp) <= phi(exp, 1.0 / t):
             return _duality_kernel, (spec, dom, t, quantity, *_duality_horizons(exp, t))
-    elif quantity == "spectral" and _importance_sampled(exp, t, dom.saturation_clock):
+    elif QUANTITIES[quantity].complement and _importance_sampled(exp, t, dom.saturation_clock):
         return _deficit_is_draws, (exp, dom, t)
     return _draw_kernel, (spec, dom, t, quantity)
 
@@ -267,11 +268,9 @@ def estimate(spec, dom, t, n, stream, quantity="spectral", *, workers=1):
     quantity names an entry of dom.ORACLES: "spectral" for the content of
     the motion killed at the boundary, "regular" for the heat mass H pushed
     into the complement.  Each path scores the quantity's exact heat lost f
-    at one clock draw: importance-sampled for deep low-index spectral
-    subordinator rows, by duality for non-stable inverse clocks at small
-    times unless spec.grid_step is set, and plainly otherwise.  The mean
-    heat lost, clamped to [0, |Omega|], is the estimate's deficit; a
-    spectral value is |Omega| minus it, a regular value the deficit itself.
+    at one clock draw, on the route _clock_kernel picks.  The mean heat lost,
+    clamped to [0, |Omega|], is the estimate's deficit; the value is |Omega|
+    less it where the quantity's record says so, else the deficit itself.
     """
     if quantity not in dom.ORACLES:
         raise UnsupportedConfigurationError(
@@ -286,7 +285,7 @@ def estimate(spec, dom, t, n, stream, quantity="spectral", *, workers=1):
     kernel, args = _clock_kernel(spec, dom, t, quantity)
     mean, se = run_blocks(kernel, args, n, stream, workers)
     deficit = min(max(mean, 0.0), dom.volume)
-    value = dom.volume - deficit if quantity == "spectral" else deficit
+    value = dom.volume - deficit if QUANTITIES[quantity].complement else deficit
     return Estimate(value, deficit, se, n, stream.seed, time.perf_counter() - start)
 
 

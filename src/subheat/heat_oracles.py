@@ -16,8 +16,10 @@ inverse clocks integrates, come term by term from the same forms.
 
 Each domain class carries its oracles in one table, ORACLES, which maps a
 quantity ("spectral" for the deficit |Omega| - Q, "regular" for H) to the
-pair (f, f'); the estimators and the low-index constants read f from there,
-so a domain supports exactly the quantities its table names.
+pair (f, f'): f(dom, u) is the heat lost by clock value u, and f' its rate
+in u.  The estimators and the low-index constants read f from there, so a
+domain supports exactly the quantities its table names.  All else about a
+quantity is its Quantity record, SPECTRAL or REGULAR, keyed the same way.
 
 The disk of radius R loses R^2 D(u/R^2), D being the unit disk's deficit:
 below s = 0.01 its short-time expansion 4 sqrt(pi s) - pi s - (sqrt(pi)/3)
@@ -223,13 +225,25 @@ def exact_H_rate_interval(dom: Interval, u):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Bounded open interval (a, b), with exact closed-form oracles.
+class Quantity:
+    """A heat content: name keys ORACLES; the heat lost is share 2|dOmega|
+    sqrt(u/pi) as u -> 0; complement: the content is |Omega| less it, and only
+    such a content is importance-sampled; tag_suffix ends its theorem tags."""
 
-    ORACLES maps each quantity an estimate can ask for to (f, f'): f(dom, u)
-    is the heat lost by clock value u, and f' its rate in u, which the
-    duality estimator of inverse clocks integrates.
-    """
+    name: str
+    share: float
+    complement: bool
+    tag_suffix: str
+
+
+SPECTRAL = Quantity("spectral", 1.0, True, "")
+REGULAR = Quantity("regular", 0.5, False, "-regular")
+QUANTITIES = {q.name: q for q in (SPECTRAL, REGULAR)}
+
+
+@dataclass(frozen=True)
+class Interval:
+    """Bounded open interval (a, b), with exact closed-form oracles."""
 
     a: float
     b: float

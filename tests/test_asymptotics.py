@@ -20,9 +20,10 @@ from subheat import (
     lowindex_constant,
     predict_regular,
     predict_spectral,
-    running_max_constant,
     stable_moment,
 )
+from subheat.asymptotics import HIGHINDEX_LIMIT, INVERSE_LIMIT, small_time_rate
+from subheat.heat_oracles import REGULAR, SPECTRAL
 from subheat.samplers import sample_stable
 
 UNIT = Interval(0.0, 1.0)
@@ -92,24 +93,31 @@ def test_inverse_moment_matches_exact_sampler():
 # ------------------------------------------------------- running maximum
 
 
+def _running_max_constant(limit, beta):
+    # the unit interval's H(u) is 2 sqrt(u/pi) at small u, the mean running
+    # maximum over [0, u], so its regular constant is the mean running
+    # maximum over S_1 (high index) or E_1 (inverse clock)
+    return limit.constant(Stable(beta), UNIT, REGULAR)
+
+
 def test_running_max_constant_closed_forms():
-    assert running_max_constant("stable", 0.75) == pytest.approx(
+    assert _running_max_constant(HIGHINDEX_LIMIT, 0.75) == pytest.approx(
         stable_moment(0.75, 0.5) * 2.0 / math.sqrt(math.pi), rel=1e-14
     )
-    assert running_max_constant("inverse", 0.5) == pytest.approx(
+    assert _running_max_constant(INVERSE_LIMIT, 0.5) == pytest.approx(
         1.0 / gamma_fn(1.25), rel=1e-14
     )
-    assert running_max_constant("inverse", 0.5) == pytest.approx(1.10326, rel=1e-4)
+    assert _running_max_constant(INVERSE_LIMIT, 0.5) == pytest.approx(1.10326, rel=1e-4)
 
 
 def test_running_max_constant_validation():
     # the order-1/2 moment of the stable horizon diverges once beta <= 1/2
     with pytest.raises(ValueError):
-        running_max_constant("stable", 0.5)
+        _running_max_constant(HIGHINDEX_LIMIT, 0.5)
     with pytest.raises(ValueError):
-        running_max_constant("inverse", 1.0)
+        _running_max_constant(INVERSE_LIMIT, 1.0)
     with pytest.raises(ValueError):
-        running_max_constant("sideways", 0.5)
+        small_time_rate(Stable(0.5), "sideways")
 
 
 def test_running_max_inverse_mc_cross_check():
@@ -123,7 +131,7 @@ def test_running_max_inverse_mc_cross_check():
         draws = np.sqrt(2.0 * s**-b) * np.abs(z)
         m = float(draws.mean())
         se = float(draws.std(ddof=1) / math.sqrt(draws.size))
-        assert abs(m - running_max_constant("inverse", b)) <= 4.0 * se
+        assert abs(m - _running_max_constant(INVERSE_LIMIT, b)) <= 4.0 * se
 
 
 def test_running_max_stable_mc_cross_check():
@@ -135,7 +143,7 @@ def test_running_max_stable_mc_cross_check():
     z = stream.spawn(1).normals(1_000_000)
     draws = np.sqrt(2.0 * s) * np.abs(z)
     m = float(draws.mean())
-    assert m == pytest.approx(running_max_constant("stable", b), rel=0.035)
+    assert m == pytest.approx(_running_max_constant(HIGHINDEX_LIMIT, b), rel=0.035)
 
 
 # ------------------------------------------------------------ predictions
@@ -151,7 +159,8 @@ def test_highindex_prediction_constants():
     assert spec.theorem_tag == "highindex-limit"
     assert reg.theorem_tag == "highindex-limit-regular"
     # the rate reduces to t^(1/(2 beta)) for a pure stable exponent
-    assert spec.rate_value(1e-6) == pytest.approx(1e-4, rel=1e-10)
+    assert spec.rate(1e-6) == pytest.approx(1e-4, rel=1e-10)
+    assert spec.rate(np.array(1e-6)) == spec.rate(1e-6)
     assert spec.rate.label == "t^(0.666667)"
 
 
@@ -161,7 +170,7 @@ def test_critical_prediction_constants():
     assert spec.constant == pytest.approx(4.0 / math.pi, rel=1e-14)
     assert reg.constant == pytest.approx(2.0 / math.pi, rel=1e-14)
     assert spec.theorem_tag == "critical-limit"
-    assert spec.rate_value(1e-4) == pytest.approx(1e-4 * math.log(1e4), rel=1e-12)
+    assert spec.rate(1e-4) == pytest.approx(1e-4 * math.log(1e4), rel=1e-12)
     assert spec.rate.label == "t*log(1/t)"
 
 
@@ -182,7 +191,7 @@ def test_inverse_prediction_constants():
     assert spec.constant == pytest.approx(2.2065253026416745, rel=1e-12)
     assert reg.constant == pytest.approx(0.5 * spec.constant, rel=1e-14)
     assert spec.theorem_tag == "inverse-limit"
-    assert spec.rate_value(1e-6) == pytest.approx(1e-6**0.25, rel=1e-10)
+    assert spec.rate(1e-6) == pytest.approx(1e-6**0.25, rel=1e-10)
     assert spec.rate.label == "t^(0.25)"
 
 
@@ -193,7 +202,7 @@ def test_inverse_prediction_universality_across_exponents():
     temp = predict_spectral(TemperedStable(0.5, 1.0), UNIT, Kind.INVERSE)
     assert temp.constant == pytest.approx(pure.constant, rel=1e-14)
     assert temp.rate.label == "[phi(1/t)]^(-1/2)"
-    assert temp.rate_value(1e-6) == pytest.approx(
+    assert temp.rate(1e-6) == pytest.approx(
         ((1e6 + 1.0) ** 0.5 - 1.0) ** -0.5, rel=1e-12
     )
 
@@ -249,24 +258,24 @@ def _interval_perimeter_closed_form(beta, L):
 @pytest.mark.parametrize("L", [1.0, 1.7])
 def test_lowindex_regular_constant_is_the_perimeter(beta, L):
     dom = Interval(0.0, L)
-    got = lowindex_constant(Stable(beta), dom, "regular")
+    got = lowindex_constant(Stable(beta), dom, REGULAR)
     assert got == pytest.approx(_interval_perimeter_closed_form(beta, L), rel=1e-6)
 
 
 def test_lowindex_spectral_frozen_value():
-    assert lowindex_constant(Stable(0.25), UNIT, "spectral") == pytest.approx(
+    assert lowindex_constant(Stable(0.25), UNIT, SPECTRAL) == pytest.approx(
         2.4262380917451174, rel=1e-9
     )
     pred = predict_spectral(Stable(0.25), UNIT, Kind.SUBORDINATOR)
     assert pred.constant == pytest.approx(2.4262380917451174, rel=1e-9)
     assert pred.theorem_tag == "lowindex-limit"
     assert pred.rate.label == "t"
-    assert pred.rate_value(3e-7) == 3e-7
+    assert pred.rate(3e-7) == 3e-7
 
 
 def test_lowindex_constant_additive_over_mixture_components():
     exp = MixedStable(((0.2, 0.5), (0.35, 2.0)))
-    for quantity in ("spectral", "regular"):
+    for quantity in (SPECTRAL, REGULAR):
         whole = lowindex_constant(exp, UNIT, quantity)
         parts = 0.5 * lowindex_constant(Stable(0.2), UNIT, quantity) + 2.0 * lowindex_constant(
             Stable(0.35), UNIT, quantity
@@ -275,8 +284,8 @@ def test_lowindex_constant_additive_over_mixture_components():
 
 
 def test_lowindex_constant_quadrature_tolerance_stability():
-    loose = lowindex_constant(Stable(0.25), UNIT, "spectral", epsrel=1e-8)
-    tight = lowindex_constant(Stable(0.25), UNIT, "spectral", epsrel=1e-11)
+    loose = lowindex_constant(Stable(0.25), UNIT, SPECTRAL, epsrel=1e-8)
+    tight = lowindex_constant(Stable(0.25), UNIT, SPECTRAL, epsrel=1e-11)
     assert loose == pytest.approx(tight, rel=1e-6)
 
 
@@ -284,8 +293,8 @@ def test_lowindex_spectral_exceeds_regular():
     # the spectral deficit counts paths that left and returned; the regular
     # content only counts mass sitting outside, so the spectral constant is
     # strictly bigger (and not by the factor two of the other regimes)
-    s = lowindex_constant(Stable(0.25), UNIT, "spectral")
-    r = lowindex_constant(Stable(0.25), UNIT, "regular")
+    s = lowindex_constant(Stable(0.25), UNIT, SPECTRAL)
+    r = lowindex_constant(Stable(0.25), UNIT, REGULAR)
     assert s > r
     assert s / r < 2.0
 
@@ -326,7 +335,7 @@ def test_fit_rate_recovers_exact_log_corrected_ladder():
     pred = predict_spectral(Stable(0.5), UNIT, Kind.SUBORDINATOR)
     ts = [1e-4, 1e-6, 1e-8]
     samples = [
-        (t, pred.constant * pred.rate_value(t) * (1.0 + 0.7 / math.log(1.0 / t)), 1e-6)
+        (t, pred.constant * pred.rate(t) * (1.0 + 0.7 / math.log(1.0 / t)), 1e-6)
         for t in ts
     ]
     report = fit_rate(samples, pred)
@@ -340,7 +349,7 @@ def test_fit_rate_recovers_exact_sqrt_corrected_ladder():
     pred = predict_spectral(Stable(0.75), UNIT, Kind.SUBORDINATOR)
     ts = [1e-4, 1e-6, 1e-8]
     samples = [
-        (t, pred.constant * pred.rate_value(t) * (1.0 - 3.0 * math.sqrt(t)), 1e-9)
+        (t, pred.constant * pred.rate(t) * (1.0 - 3.0 * math.sqrt(t)), 1e-9)
         for t in ts
     ]
     report = fit_rate(samples, pred)
@@ -356,7 +365,7 @@ def test_fit_rate_extrapolates_exact_mixed_critical_ladder():
     exp = MixedStable(((0.25, 1.0), (0.5, 1.0)))
     pred = predict_spectral(exp, UNIT, Kind.SUBORDINATOR)
     exact = {1e-6: 1.4990716, 1e-8: 1.4428344, 1e-10: 1.4089331}
-    samples = [(t, r * pred.rate_value(t), 0.0) for t, r in exact.items()]
+    samples = [(t, r * pred.rate(t), 0.0) for t, r in exact.items()]
     report = fit_rate(samples, pred, tolerance=0.10)
     assert report.limit == pytest.approx(4.0 / math.pi, abs=1e-4)
     assert report.passed
@@ -365,7 +374,7 @@ def test_fit_rate_extrapolates_exact_mixed_critical_ladder():
 
 def test_fit_rate_flags_wrong_constant():
     pred = predict_spectral(Stable(0.5), UNIT, Kind.SUBORDINATOR)
-    samples = [(t, 2.0 * pred.constant * pred.rate_value(t), 1e-6) for t in (1e-4, 1e-6, 1e-8)]
+    samples = [(t, 2.0 * pred.constant * pred.rate(t), 1e-6) for t in (1e-4, 1e-6, 1e-8)]
     report = fit_rate(samples, pred)
     assert report.rel_deviation == pytest.approx(1.0, rel=1e-10)
     assert not report.passed

@@ -73,6 +73,42 @@ def test_estimate_inverse_csv_matches_golden():
     assert cmd_estimate(cfg) == (GOLDEN / "estimate_inverse.csv").read_text()
 
 
+_PREDICT_GRID = json.loads((GOLDEN / "predict_grid.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "case", _PREDICT_GRID, ids=lambda c: f"{c['exponent']}-{c['domain']}-{c['time_change']}-{c['format']}"
+)
+def test_predict_matches_golden_grid(case):
+    # every regime, quantity and domain, both formats: the bytes printed, or
+    # the exit code and message of a refused configuration
+    argv = ["predict", "--exponent", case["exponent"], "--domain", case["domain"]]
+    argv += ["--time-change", case["time_change"], "--format", case["format"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "golden,cfg",
+    [
+        # an importance-sampled spectral row beside a plain low-index regular row
+        ("estimate_lowindex.csv", RunConfig(exponent="stable:0.25", t_ladder=(1e-8,), paths=4096, seed=5)),
+        # the duality route on a disk
+        (
+            "estimate_duality_disk.csv",
+            RunConfig(
+                exponent="tempered:0.5,1", domain="disk:1", time_change="inv", t_ladder=(1e-3,), paths=4096, seed=9
+            ),
+        ),
+    ],
+    ids=["lowindex-importance-sampled", "duality-disk"],
+)
+def test_estimate_routes_match_golden(golden, cfg):
+    assert cmd_estimate(cfg) == (GOLDEN / golden).read_text()
+
+
 def test_estimate_csv_header_is_frozen():
     cfg = RunConfig(t_ladder=(1e-3,), paths=64, seed=0)
     out = cmd_estimate(cfg)

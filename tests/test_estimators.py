@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import os
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,11 +319,31 @@ def _disk_subordinate_deficit(exp, t, head=20_000):
     def term(j):
         return 4.0 * np.pi / j**2 * -np.expm1(-t * phi(exp, j * j))
 
+    def integrand(y):
+        return float(term(np.pi * (math.exp(y) - 0.25))) * math.exp(y)
+
+    # pieces short enough for quad to see the knee at j ~ t^(-1/(2b))
     y0 = math.log(head + 0.5)
-    tail, _ = integrate.quad(
-        lambda y: float(term(np.pi * (math.exp(y) - 0.25))) * math.exp(y), y0, y0 + 80.0, limit=400
-    )
+    tail = sum(integrate.quad(integrand, a, a + 10.0, limit=200)[0] for a in y0 + np.arange(0.0, 80.0, 10.0))
     return float(np.sum(term(zeros))) + tail
+
+
+def _benchmark_references():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "references.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_references", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("text", ["stable:0.5", "mixed:0.25*1+0.5*1"])
+def test_disk_subordinate_helper_meets_the_benchmark_reference(text):
+    # at t = 1e-10 and index 1/2 the knee of the series sits deep in the
+    # tail, which one quad over the whole tail missed by 1e-4 relative
+    exp, t = parse_exponent(text), 1e-10
+    ref = _benchmark_references()
+    target = ref.disk_deficit(1.0, ref.subordinator_clock(exp, t))
+    assert _disk_subordinate_deficit(exp, t) == pytest.approx(target, rel=1e-7)
 
 
 @pytest.mark.parametrize(
