@@ -203,7 +203,8 @@ def small_time_rate(exp, kind) -> RateFunction:
     return RateFunction(_LIMITS[Kind(kind), regime(exp)], exp)
 
 
-def _predict(exp, dom, kind, quantity: Quantity) -> AsymptoticPrediction:
+def predict(exp, dom, kind, quantity: Quantity) -> AsymptoticPrediction:
+    """Small-time limit of the quantity's heat lost over the clock's rate."""
     rate = small_time_rate(exp, kind)
     limit = rate.limit
     return AsymptoticPrediction(rate, limit.constant(exp, dom, quantity), limit.tag + quantity.tag_suffix)
@@ -211,12 +212,12 @@ def _predict(exp, dom, kind, quantity: Quantity) -> AsymptoticPrediction:
 
 def predict_spectral(exp, dom, kind) -> AsymptoticPrediction:
     """Small-time limit of (|Omega| - Qtilde(t)) / rate(t)."""
-    return _predict(exp, dom, kind, SPECTRAL)
+    return predict(exp, dom, kind, SPECTRAL)
 
 
 def predict_regular(exp, dom, kind) -> AsymptoticPrediction:
     """Small-time limit of H(t) / rate(t)."""
-    return _predict(exp, dom, kind, REGULAR)
+    return predict(exp, dom, kind, REGULAR)
 
 
 def expansion(beta: float, coefficients) -> list[tuple[float, float]]:

@@ -22,23 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .asymptotics import (
-    expansion,
-    fit_rate,
-    inverse_moment,
-    predict_regular,
-    predict_spectral,
-    small_time_rate,
-    stable_moment,
-)
+from .asymptotics import expansion, fit_rate, inverse_moment, predict, small_time_rate, stable_moment
 from .diagnostics import check_inverse_moments, check_levy_convergence, check_small_ball
-from .estimators import (
-    estimate,
-    estimate_regular,
-    estimate_spectral_inverse,
-    estimate_spectral_subordinate,
-)
+from .estimators import estimate
 from .heat_oracles import (
+    QUANTITIES,
+    REGULAR,
+    SPECTRAL,
     Disk,
     Interval,
     exact_deficit_disk,
@@ -148,7 +138,7 @@ _KEYS = {
     "out": ("out", str, "write the output to this file instead of stdout"),
     "suite": ("suite", str, "suite name or 'all'"),
     "quick": ("quick", _parse_bool, "reduced path counts"),
-    "tolerance": ("tolerance", float, "relative tolerance of the suites' checks"),
+    "tolerance": ("tolerance", float, "relative band of the six limit suites' checks; the other suites ignore it"),
 }
 
 
@@ -192,20 +182,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**found)
 
 
-def adaptive_spectral(exp, dom, t, stream, kind, *, rel_target=0.005, n0=200_000, n_max=1_600_000, workers=1):
-    """Double n until the stderr is at most rel_target of the estimated deficit.
-
-    Blocks reuse the same per-index streams on each doubling, so the final
-    estimate is the deterministic function of (seed, final n).
-    """
-    n = n0
-    while True:
-        est = estimate(TimeChangeSpec(exp, kind), dom, t, n, stream, workers=workers)
-        if est.stderr <= rel_target * est.deficit or n >= n_max:
-            return est
-        n *= 2
-
-
 def _table(rows: list[dict], fmt: str) -> str:
     """rows as JSON, or as CSV headed by their keys with floats in 17 digits."""
     if fmt == "json":
@@ -220,10 +196,10 @@ def cmd_predict(cfg: RunConfig) -> str:
     dom = parse_domain(cfg.domain)
     kind = Kind(cfg.time_change)
     rows = []
-    for quantity, pred_fn in (("spectral", predict_spectral), ("regular", predict_regular)):
-        pred = pred_fn(exp, dom, kind)
+    for q in QUANTITIES.values():
+        pred = predict(exp, dom, kind, q)
         rows.append(
-            {"quantity": quantity, "theorem_tag": pred.theorem_tag, "rate": pred.rate.label, "constant": pred.constant}
+            {"quantity": q.name, "theorem_tag": pred.theorem_tag, "rate": pred.rate.label, "constant": pred.constant}
         )
     return _table(rows, cfg.fmt)
 
@@ -292,10 +268,19 @@ def _check(name, target, achieved, tol):
     return CheckResult(name, target, achieved, tol, abs(achieved - target) <= tol)
 
 
-def _ratio_check(name, est, pred, t, rel_tol, extra_tol_se=4.0):
-    # the heat lost at t over pred's rate, against pred's constant
+def _band(cfg, rel):
+    # --tolerance, where given, is the relative band of every limit check
+    return cfg.tolerance if cfg.tolerance is not None else rel
+
+
+def _limit_check(cfg, name, spec, t, n, stream, rel, quantity=SPECTRAL, extra_tol_se=4.0):
+    """The quantity's heat lost at t on the unit interval over its predicted
+    rate, against the predicted constant, within the larger of extra_tol_se
+    standard errors and the relative band rel."""
+    pred = predict(spec.exponent, _UNIT, spec.kind, quantity)
+    est = estimate(spec, _UNIT, t, n, stream, quantity.name, workers=cfg.workers)
     rate = float(pred.rate(t))
-    tol = max(extra_tol_se * est.stderr / rate, rel_tol * abs(pred.constant))
+    tol = max(extra_tol_se * est.stderr / rate, _band(cfg, rel) * abs(pred.constant))
     return _check(name, pred.constant, est.deficit / rate, tol)
 
 
@@ -304,14 +289,10 @@ def _sample_mean_check(name, x, target):
     return _check(name, target, float(x.mean()), 4.0 * se)
 
 
-def _suite_highindex(cfg: RunConfig, quick: bool) -> list[CheckResult]:
-    exp = Stable(0.75)
-    t = 1e-8
-    n = 200_000 if quick else 1_000_000
-    pred = predict_spectral(exp, _UNIT, Kind.SUBORDINATOR)
-    est = estimate_spectral_subordinate(exp, _UNIT, t, n, _suite_stream(cfg, 1), workers=cfg.workers)
-    rel = cfg.tolerance if cfg.tolerance is not None else 0.03
-    return [_ratio_check("highindex-ratio", est, pred, t, rel)]
+def _suite_highindex(cfg: RunConfig) -> list[CheckResult]:
+    n = 200_000 if cfg.quick else 1_000_000
+    spec = TimeChangeSpec(Stable(0.75), Kind.SUBORDINATOR)
+    return [_limit_check(cfg, "highindex-ratio", spec, 1e-8, n, _suite_stream(cfg, 1), 0.03)]
 
 
 def _critical_ladder(cfg, exp, n, tag):
@@ -319,85 +300,68 @@ def _critical_ladder(cfg, exp, n, tag):
     # lower-order 1/log(1/t) correction still holds it well above the
     # constant (10.66% for the mixed exponent).  The final check therefore
     # compares the limit extrapolated from the last two rungs by fit_rate.
-    pred = predict_spectral(exp, _UNIT, Kind.SUBORDINATOR)
+    spec = TimeChangeSpec(exp, Kind.SUBORDINATOR)
+    pred = predict(exp, _UNIT, spec.kind, SPECTRAL)
     stream = _suite_stream(cfg, 2 if isinstance(exp, Stable) else 4)
     samples = []
-    ladder = (1e-6, 1e-8, 1e-10)
-    for t in ladder:
-        est = estimate_spectral_subordinate(exp, _UNIT, t, n, stream, workers=cfg.workers)
+    for t in (1e-6, 1e-8, 1e-10):
+        est = estimate(spec, _UNIT, t, n, stream, workers=cfg.workers)
         samples.append((t, est.deficit, est.stderr))
-    rel = cfg.tolerance if cfg.tolerance is not None else 0.10
+    rel = _band(cfg, 0.10)
     fit = fit_rate(samples, pred, rel)
     monotone = all(a > b for a, b in zip(fit.ratios, fit.ratios[1:]))
     return [
         CheckResult(f"{tag}-monotone", 1.0, 1.0 if monotone else 0.0, 0.0, monotone),
-        CheckResult(
-            f"{tag}-final", pred.constant, float(fit.limit), rel * pred.constant, bool(fit.passed)
-        ),
+        CheckResult(f"{tag}-final", pred.constant, float(fit.limit), rel * pred.constant, bool(fit.passed)),
     ]
 
 
-def _suite_critical(cfg: RunConfig, quick: bool) -> list[CheckResult]:
-    n = 150_000 if quick else 800_000
+def _suite_critical(cfg: RunConfig) -> list[CheckResult]:
+    n = 150_000 if cfg.quick else 800_000
     return _critical_ladder(cfg, Stable(0.5), n, "critical")
 
 
-def _suite_mixed_critical(cfg: RunConfig, quick: bool) -> list[CheckResult]:
+def _suite_mixed_critical(cfg: RunConfig) -> list[CheckResult]:
     # The exact mixed ratio at t = 1e-10 is 1.40893, 0.6% outside the 10%
     # band (which ends at 1.40057), so only the extrapolated limit can pass.
     # The extrapolation r1 + 4 (r1 - r0) multiplies the last rung's error by
     # five, so this suite keeps a tighter standard error than the pure
     # critical ladder for its verdict to be reproducible across seeds.
-    n = 400_000 if quick else 3_200_000
+    n = 400_000 if cfg.quick else 3_200_000
     exp = MixedStable(((0.25, 1.0), (0.5, 1.0)))
     return _critical_ladder(cfg, exp, n, "mixed-critical")
 
 
-def _suite_lowindex(cfg: RunConfig, quick: bool) -> list[CheckResult]:
-    exp = Stable(0.25)
-    t = 1e-6
-    pred = predict_spectral(exp, _UNIT, Kind.SUBORDINATOR)
-    n0 = 200_000 if quick else 1_000_000
-    est = adaptive_spectral(
-        exp, _UNIT, t, _suite_stream(cfg, 3), Kind.SUBORDINATOR,
-        rel_target=0.005, n0=n0, n_max=2 * n0, workers=cfg.workers,
-    )
-    rel = cfg.tolerance if cfg.tolerance is not None else 0.02
-    return [_ratio_check("lowindex-ratio", est, pred, t, rel)]
+def _suite_lowindex(cfg: RunConfig) -> list[CheckResult]:
+    n = 200_000 if cfg.quick else 1_000_000
+    spec = TimeChangeSpec(Stable(0.25), Kind.SUBORDINATOR)
+    return [_limit_check(cfg, "lowindex-ratio", spec, 1e-6, n, _suite_stream(cfg, 3), 0.02)]
 
 
-def _suite_inverse(cfg: RunConfig, quick: bool) -> list[CheckResult]:
-    t = 1e-6
-    n = 100_000 if quick else 400_000
-    rel = cfg.tolerance if cfg.tolerance is not None else 0.02
-    out = []
+def _suite_inverse(cfg: RunConfig) -> list[CheckResult]:
+    n = 100_000 if cfg.quick else 400_000
     # spectral rows from key i 2^20, regular ones from i 2^20 + 2^19
     offsets = [i * 2**20 + q * 2**19 for i in range(3) for q in range(2)]
     keys = samplers.disjoint_spawns(_suite_stream(cfg, 5), offsets, n)
-    for i, beta in enumerate((0.25, 0.5, 0.75)):
-        exp = Stable(beta)
-        est = estimate_spectral_inverse(exp, _UNIT, t, n, keys[2 * i], workers=cfg.workers)
-        out.append(_ratio_check(f"inverse-spectral-b{beta:g}", est, predict_spectral(exp, _UNIT, Kind.INVERSE), t, rel))
-        est = estimate_regular(exp, _UNIT, t, n, keys[2 * i + 1], Kind.INVERSE, workers=cfg.workers)
-        out.append(_ratio_check(f"inverse-regular-b{beta:g}", est, predict_regular(exp, _UNIT, Kind.INVERSE), t, rel))
-    return out
+    cases = [(beta, q) for beta in (0.25, 0.5, 0.75) for q in (SPECTRAL, REGULAR)]
+    return [
+        _limit_check(
+            cfg, f"inverse-{q.name}-b{beta:g}", TimeChangeSpec(Stable(beta), Kind.INVERSE), 1e-6, n, key, 0.02, q
+        )
+        for (beta, q), key in zip(cases, keys)
+    ]
 
 
-def _suite_inverse_universality(cfg: RunConfig, quick: bool) -> list[CheckResult]:
+def _suite_inverse_universality(cfg: RunConfig) -> list[CheckResult]:
     # the criterion names the grid sampler, so the step is set explicitly:
     # without it a tempered clock this deep takes the duality estimator
-    exp = TemperedStable(0.5, 1.0)
     t = 1e-5
-    n = 512 if quick else 2048
-    pred = predict_spectral(exp, _UNIT, Kind.INVERSE)
-    est = estimate_spectral_inverse(
-        exp, _UNIT, t, n, _suite_stream(cfg, 6), workers=cfg.workers, grid_step=t * 1e-3
-    )
-    rel = cfg.tolerance if cfg.tolerance is not None else 0.05
-    return [_ratio_check("universality-ratio", est, pred, t, rel, extra_tol_se=0.0)]
+    n = 512 if cfg.quick else 2048
+    spec = TimeChangeSpec(TemperedStable(0.5, 1.0), Kind.INVERSE, t * 1e-3)
+    return [_limit_check(cfg, "universality-ratio", spec, t, n, _suite_stream(cfg, 6), 0.05, extra_tol_se=0.0)]
 
 
-def _suite_expansion(cfg: RunConfig, quick: bool) -> list[CheckResult]:
+def _suite_expansion(cfg: RunConfig) -> list[CheckResult]:
     out = []
     worst = 0.0
     for beta in np.linspace(0.05, 0.95, 19):
@@ -408,8 +372,8 @@ def _suite_expansion(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     return out
 
 
-def _suite_moments(cfg: RunConfig, quick: bool) -> list[CheckResult]:
-    n = 200_000 if quick else 1_000_000
+def _suite_moments(cfg: RunConfig) -> list[CheckResult]:
+    n = 200_000 if cfg.quick else 1_000_000
     out = []
     stream = _suite_stream(cfg, 8)
     # stable draws from key i 2^20, inverse ones from 2^30 + i 2^20, the
@@ -439,8 +403,8 @@ def _suite_moments(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     return out
 
 
-def _suite_levy(cfg: RunConfig, quick: bool) -> list[CheckResult]:
-    n = 100_000 if quick else 400_000
+def _suite_levy(cfg: RunConfig) -> list[CheckResult]:
+    n = 100_000 if cfg.quick else 400_000
     report = check_levy_convergence(
         Stable(0.25), "power-exp:0.5", (1e-2, 1e-3, 1e-4), n, _suite_stream(cfg, 9)
     )
@@ -449,8 +413,8 @@ def _suite_levy(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     return [CheckResult("levy-final", report.target, stat_f, tol, report.passed)]
 
 
-def _suite_small_ball(cfg: RunConfig, quick: bool) -> list[CheckResult]:
-    n = 100_000 if quick else 400_000
+def _suite_small_ball(cfg: RunConfig) -> list[CheckResult]:
+    n = 100_000 if cfg.quick else 400_000
     out = []
     ladder = tuple(np.geomspace(1e-2, 1e-4, 5))
     keys = samplers.disjoint_spawns(_suite_stream(cfg, 10), [0, 2**20], n)
@@ -470,7 +434,7 @@ def _bridge_walk_kernel(u, stream, lo, size, n):
     )
 
 
-def _suite_oracle(cfg: RunConfig, quick: bool) -> list[CheckResult]:
+def _suite_oracle(cfg: RunConfig) -> list[CheckResult]:
     out = []
     u_star = _UNIT.length ** 2 / 10.0
     q_lo = exact_Q_interval(_UNIT, u_star * (1.0 - 1e-13))
@@ -493,7 +457,7 @@ def _suite_oracle(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     out.append(_check("disk-curvature-term", 0.0, abs(curvature / math.pi + 1.0), 1e-4))
     # a bridge-corrected killed walk, the path machinery of mc_Q_disk, run
     # where an exact answer exists
-    n = 100_000 if quick else 400_000
+    n = 100_000 if cfg.quick else 400_000
     u_w = 0.02
     walk, _ = run_blocks(_bridge_walk_kernel, u_w, n, _suite_stream(cfg, 11), cfg.workers)
     exact = exact_Q_interval(_UNIT, u_w)
@@ -502,7 +466,7 @@ def _suite_oracle(cfg: RunConfig, quick: bool) -> list[CheckResult]:
     return out
 
 
-def _suite_determinism(cfg: RunConfig, quick: bool) -> list[CheckResult]:
+def _suite_determinism(cfg: RunConfig) -> list[CheckResult]:
     base = RunConfig(
         exponent="stable:0.75",
         domain="interval:0,1",
@@ -543,7 +507,7 @@ def _canonical_suite(name: str) -> str:
 
 def run_suite(name: str, cfg: RunConfig) -> list[CheckResult]:
     """Run one named verification suite and return its check results."""
-    return _SUITES[_canonical_suite(name)](cfg, cfg.quick)
+    return _SUITES[_canonical_suite(name)](cfg)
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
@@ -552,7 +516,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     all_pass = True
     for name in names:
         start = time.perf_counter()
-        checks = _SUITES[name](cfg, cfg.quick)
+        checks = _SUITES[name](cfg)
         elapsed = time.perf_counter() - start
         passed = all(c.passed for c in checks)
         all_pass = all_pass and passed

@@ -16,7 +16,7 @@ import numpy as np
 from . import samplers
 from .estimators import _is_stable_draws
 from .levy_exponents import Stable, leading_index, levy_density, phi
-from .samplers import BLOCK, Kind, RandomStream, TimeChangeSpec, run_blocks
+from .samplers import Kind, RandomStream, TimeChangeSpec, run_blocks
 
 _LEVY_IS_CAP = 60.0  # clock coverage for importance sampling; e^-x test factors are dead beyond this
 
@@ -106,6 +106,16 @@ def _small_ball_stable_kernel(args, stream, lo, size, n):
     beta, lam = args
     u = np.maximum(stream.uniforms(size), 2.0**-54)
     return np.exp(-lam * (samplers.kanter_angle(u, beta) - samplers.kanter_angle_min(beta)))
+
+
+def _bin_kernel(args, stream, lo, size, n):
+    # one indicator row per bin of D_t, binned as np.histogram bins: each
+    # half-open on the right but the last, which holds its right edge
+    exp, t, edges = args
+    d = samplers.sample_subordinator(exp, t, stream, size)
+    idx = np.searchsorted(edges, d, side="right") - 1
+    idx[d == edges[-1]] = edges.size - 2
+    return (idx == np.arange(edges.size - 1)[:, None]).astype(float)
 
 
 def _inverse_moment_kernel(args, stream, lo, size, n):
@@ -203,14 +213,10 @@ def check_heat_kernel_bound(exp, t: float, x_grid, n: int, stream: RandomStream)
     widths = np.diff(edges)
     envelope = mids ** -1.0 * phi(exp, 1.0 / mids)
     ratios = []
-    for i, ti in enumerate((t, t / 2.0)):
-        counts = np.zeros(mids.size)
-        for lo in range(0, n, BLOCK):
-            size = min(BLOCK, n - lo)
-            d = samplers.sample_subordinator(exp, ti, stream.spawn(lo), size)
-            counts += np.histogram(d, bins=edges)[0]
-        dens = counts / (n * widths)
-        ratios.append(float(np.max(dens / (ti * envelope))))
+    for ti in (t, t / 2.0):
+        # the share of paths in each bin; one bin's run_blocks gives one (mean, stderr) pair
+        share = np.reshape(run_blocks(_bin_kernel, (exp, ti, edges), n, stream), (-1, 2))[:, 0]
+        ratios.append(float(np.max(share / widths / (ti * envelope))))
     r_t, r_half = ratios
     finite = math.isfinite(r_t) and math.isfinite(r_half) and r_t > 0.0 and r_half > 0.0
     passed = finite and abs(math.log(r_t / r_half)) <= math.log(2.0)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from subheat import (
     Disk,
-    Interval,
     Kind,
     RandomStream,
     RunawaySamplerError,
@@ -23,6 +22,7 @@ from subheat import (
     TimeChangeSpec,
     estimate,
 )
+from subheat import cli
 from subheat.cli import (
     _KEYS,
     _SUITE_ALIASES,
@@ -30,7 +30,6 @@ from subheat.cli import (
     RunConfig,
     _build_parser,
     _resolve_config,
-    adaptive_spectral,
     cmd_estimate,
     cmd_predict,
     cmd_verify,
@@ -519,7 +518,7 @@ def test_exit_3_on_unsupported_configuration(capsys):
 
 
 def test_exit_4_on_runaway_sampler(monkeypatch, capsys):
-    def boom(cfg, quick):
+    def boom(cfg):
         raise RunawaySamplerError("stub crossing took too long")
 
     monkeypatch.setitem(_SUITES, "boom", boom)
@@ -530,7 +529,7 @@ def test_exit_4_on_runaway_sampler(monkeypatch, capsys):
 def test_exit_1_on_failing_suite(monkeypatch, tmp_path):
     from subheat.cli import CheckResult
 
-    def failing(cfg, quick):
+    def failing(cfg):
         return [CheckResult("stub", 1.0, 2.0, 0.1, False)]
 
     monkeypatch.setitem(_SUITES, "stub-fail", failing)
@@ -621,25 +620,37 @@ def test_suite_registry_is_complete():
     ]
 
 
-# ------------------------------------------------------------- adaptivity
+# ------------------------------------------------------------ limit checks
 
 
-def test_adaptive_spectral_doubles_until_precise():
-    est = adaptive_spectral(
-        Stable(0.75), Interval(0.0, 1.0), 1e-3, RandomStream(2), Kind.SUBORDINATOR,
-        rel_target=0.007, n0=4096, n_max=65_536,
-    )
-    deficit = 1.0 - est.value
-    assert est.stderr <= 0.007 * deficit
-    assert est.n_paths > 4096
+def test_lowindex_suite_is_precise_in_one_estimate(monkeypatch):
+    # the suite's one estimate at 200,000 paths is already within a stderr of
+    # 0.005 of its deficit on these seeds (worst 2.2e-3), so more paths would
+    # change no verdict
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(estimate(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "estimate", recording)
+    for seed in range(20):
+        run_suite("lowindex-limit", RunConfig(seed=seed, quick=True))
+    assert len(seen) == 20
+    assert all(e.n_paths == 200_000 and e.stderr <= 0.005 * e.deficit for e in seen)
 
 
-def test_adaptive_spectral_respects_cap():
-    est = adaptive_spectral(
-        Stable(0.75), Interval(0.0, 1.0), 1e-3, RandomStream(2), Kind.SUBORDINATOR,
-        rel_target=1e-9, n0=4096, n_max=8192,
-    )
-    assert est.n_paths == 8192
+# inverse-universality reads --tolerance through the same check, but its grid
+# walk takes about 19 s at --quick, so it is left out here
+@pytest.mark.parametrize(
+    "suite", ["highindex-limit", "critical-limit", "lowindex-limit", "mixed-critical-limit", "inverse-limit"]
+)
+def test_tolerance_reaches_every_limit_check(suite, capsys):
+    main(["verify", "--suite", suite, "--quick", "--tolerance", "0.5"])
+    checks = json.loads(capsys.readouterr().out)["suites"][0]["checks"]
+    banded = [c for c in checks if not c["name"].endswith("-monotone")]
+    assert banded
+    assert all(c["tolerance"] >= 0.5 * abs(c["target"]) for c in banded)
 
 
 # --------------------------------------------------------- grammar property
