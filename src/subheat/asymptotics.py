@@ -239,21 +239,42 @@ def expansion(beta: float, coefficients) -> list[tuple[float, float]]:
 
 
 @dataclass(frozen=True)
-class FitReport:
-    ratios: tuple[float, ...]
-    limit: float
-    rel_deviation: float
+class LadderReport:
+    """A statistic achieved against its target within the absolute tolerance
+    that decided the verdict, and the (t, statistic, stderr) points by
+    decreasing t that it was read from."""
+
+    points: tuple[tuple[float, float, float], ...]
+    target: float
+    achieved: float
     tolerance: float
     passed: bool
 
+    def __post_init__(self):
+        ts = [p[0] for p in self.points]
+        if not all(a > b for a, b in zip(ts, ts[1:])):
+            raise ValueError("ladder points must be ordered by decreasing t")
 
-def fit_rate(samples, prediction: AsymptoticPrediction, tolerance: float = 0.05) -> FitReport:
+
+def verdict(points, target, achieved, tolerance) -> LadderReport:
+    """The report of achieved against target within the absolute tolerance."""
+    return LadderReport(tuple(points), target, achieved, tolerance, bool(abs(achieved - target) <= tolerance))
+
+
+def band_verdict(points, target, achieved, se, rel, extra_tol_se=4.0, scale=1.0) -> LadderReport:
+    """The verdict within the larger of extra_tol_se standard errors, se/scale
+    each, and the relative band rel of the target."""
+    return verdict(points, target, achieved, max(extra_tol_se * se / scale, rel * abs(target)))
+
+
+def fit_rate(samples, prediction: AsymptoticPrediction, tolerance: float = 0.05) -> LadderReport:
     """Fit ladder values against a predicted rate and constant.
 
     samples: iterable of (t, value, stderr) with strictly decreasing t, where
-    value is the quantity expected to behave like constant * rate(t). Ratios
-    are Richardson-extrapolated assuming a first-order correction in
-    1/log(1/t) for the t log(1/t) rate and in sqrt(t) otherwise.
+    value is the quantity expected to behave like constant * rate(t). The
+    ratios to the rate, the report's points, are Richardson-extrapolated
+    assuming a first-order correction in 1/log(1/t) for the t log(1/t) rate
+    and in sqrt(t) otherwise; the limit passes within tolerance * constant.
     """
     pts = [(float(t), float(v), float(se)) for t, v, se in samples]
     if len(pts) < 3:
@@ -261,9 +282,8 @@ def fit_rate(samples, prediction: AsymptoticPrediction, tolerance: float = 0.05)
     ts = [p[0] for p in pts]
     if not all(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError("rate ladder must have strictly decreasing t")
-    ratios = tuple(v / prediction.rate(t) for t, v, _ in pts)
-    r0, r1 = ratios[-2:]
+    ratios = [(t, float(v / r), float(se / r)) for (t, v, se), r in zip(pts, map(prediction.rate, ts))]
+    (_, r0, _), (_, r1, _) = ratios[-2:]
     x0, x1 = (prediction.rate.limit.fit_variable(t) for t in ts[-2:])
     limit = r1 + (r1 - r0) * x1 / (x0 - x1)
-    rel_dev = abs(limit - prediction.constant) / abs(prediction.constant)
-    return FitReport(ratios, limit, rel_dev, tolerance, rel_dev <= tolerance)
+    return band_verdict(ratios, prediction.constant, limit, 0.0, tolerance)

@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .asymptotics import expansion, fit_rate, inverse_moment, predict, small_time_rate, stable_moment
+from .asymptotics import (
+    band_verdict, expansion, fit_rate, inverse_moment, predict, small_time_rate, stable_moment, verdict,
+)
 from .diagnostics import check_inverse_moments, check_levy_convergence, check_small_ball
 from .estimators import estimate
 from .heat_oracles import (
@@ -143,7 +145,7 @@ _KEYS = {
 
 
 def _load_config_file(path: str) -> dict:
-    """The file's key = value lines, each value read by its key's parser."""
+    """The file's key = value lines as {key: value text}."""
     out = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -155,17 +157,19 @@ def _load_config_file(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            out[key] = _KEYS[key][1](val)
+            out[key] = val
     return out
 
 
 def _level(values: dict) -> dict:
-    """One precedence level's {key: value} as {RunConfig field: value}; t -> (t,)."""
+    """One precedence level's {key: text}, from flags or a config file alike,
+    as {RunConfig field: value}, each text read by its key's parser; t -> (t,)."""
     out = {}
     for key, val in values.items():
-        field = _KEYS[key][0]
+        field, parse, _ = _KEYS[key]
         if field in out:  # only --t and --t-ladder share a field
             raise ValueError("give --t or --t-ladder, not both")
+        val = parse(val) if isinstance(val, str) else val  # verify's --quick flag comes as True
         out[field] = (val,) if key == "t" else val
     return out
 
@@ -264,8 +268,13 @@ def _suite_stream(cfg: RunConfig, index: int) -> RandomStream:
     return RandomStream(cfg.seed, (index + 1) * 2**48)
 
 
+def _result(name, report) -> CheckResult:
+    """A named check of a LadderReport's verdict."""
+    return CheckResult(name, report.target, report.achieved, report.tolerance, report.passed)
+
+
 def _check(name, target, achieved, tol):
-    return CheckResult(name, target, achieved, tol, abs(achieved - target) <= tol)
+    return _result(name, verdict((), target, achieved, tol))
 
 
 def _band(cfg, rel):
@@ -280,13 +289,13 @@ def _limit_check(cfg, name, spec, t, n, stream, rel, quantity=SPECTRAL, extra_to
     pred = predict(spec.exponent, _UNIT, spec.kind, quantity)
     est = estimate(spec, _UNIT, t, n, stream, quantity.name, workers=cfg.workers)
     rate = float(pred.rate(t))
-    tol = max(extra_tol_se * est.stderr / rate, _band(cfg, rel) * abs(pred.constant))
-    return _check(name, pred.constant, est.deficit / rate, tol)
+    ratio = est.deficit / rate
+    return _result(name, band_verdict((), pred.constant, ratio, est.stderr, _band(cfg, rel), extra_tol_se, rate))
 
 
 def _sample_mean_check(name, x, target):
     se = float(x.std(ddof=1)) / math.sqrt(x.size)
-    return _check(name, target, float(x.mean()), 4.0 * se)
+    return _result(name, band_verdict((), target, float(x.mean()), se, 0.0))
 
 
 def _suite_highindex(cfg: RunConfig) -> list[CheckResult]:
@@ -307,13 +316,9 @@ def _critical_ladder(cfg, exp, n, tag):
     for t in (1e-6, 1e-8, 1e-10):
         est = estimate(spec, _UNIT, t, n, stream, workers=cfg.workers)
         samples.append((t, est.deficit, est.stderr))
-    rel = _band(cfg, 0.10)
-    fit = fit_rate(samples, pred, rel)
-    monotone = all(a > b for a, b in zip(fit.ratios, fit.ratios[1:]))
-    return [
-        CheckResult(f"{tag}-monotone", 1.0, 1.0 if monotone else 0.0, 0.0, monotone),
-        CheckResult(f"{tag}-final", pred.constant, float(fit.limit), rel * pred.constant, bool(fit.passed)),
-    ]
+    fit = fit_rate(samples, pred, _band(cfg, 0.10))
+    monotone = all(a > b for (_, a, _), (_, b, _) in zip(fit.points, fit.points[1:]))
+    return [_check(f"{tag}-monotone", 1.0, float(monotone), 0.0), _result(f"{tag}-final", fit)]
 
 
 def _suite_critical(cfg: RunConfig) -> list[CheckResult]:
@@ -390,16 +395,7 @@ def _suite_moments(cfg: RunConfig) -> list[CheckResult]:
         target = inverse_moment(beta, p)
         out.append(_sample_mean_check(f"inverse-moment-b{beta:g}-p{p:g}", e**p, target))
     report = check_inverse_moments(Stable(0.5), 0.5, (1e-1, 1e-3, 1e-6), n // 2, keys[6])
-    target = report.target
-    all_points = all(
-        abs(stat - target) <= max(4.0 * se, 0.02 * target) for _, stat, se in report.points
-    )
-    out.append(
-        CheckResult(
-            "inverse-moment-t-independence", target, report.fitted_limit, 0.02 * target,
-            bool(report.passed and all_points),
-        )
-    )
+    out.append(_result("inverse-moment-t-independence", report))
     return out
 
 
@@ -408,24 +404,17 @@ def _suite_levy(cfg: RunConfig) -> list[CheckResult]:
     report = check_levy_convergence(
         Stable(0.25), "power-exp:0.5", (1e-2, 1e-3, 1e-4), n, _suite_stream(cfg, 9)
     )
-    t_f, stat_f, se_f = report.points[-1]
-    tol = max(4.0 * se_f, 0.02 * abs(report.target))
-    return [CheckResult("levy-final", report.target, stat_f, tol, report.passed)]
+    return [_result("levy-final", report)]
 
 
 def _suite_small_ball(cfg: RunConfig) -> list[CheckResult]:
     n = 100_000 if cfg.quick else 400_000
-    out = []
     ladder = tuple(np.geomspace(1e-2, 1e-4, 5))
     keys = samplers.disjoint_spawns(_suite_stream(cfg, 10), [0, 2**20], n)
-    for beta, key in zip((0.25, 0.5), keys):
-        report = check_small_ball(Stable(beta), 1.0, ladder, n, key)
-        out.append(
-            CheckResult(
-                f"small-ball-b{beta:g}", report.target, report.fitted_slope, 0.1, report.passed
-            )
-        )
-    return out
+    return [
+        _result(f"small-ball-b{beta:g}", check_small_ball(Stable(beta), 1.0, ladder, n, key))
+        for beta, key in zip((0.25, 0.5), keys)
+    ]
 
 
 def _bridge_walk_kernel(u, stream, lo, size, n):
@@ -478,8 +467,7 @@ def _suite_determinism(cfg: RunConfig) -> list[CheckResult]:
     )
     one = cmd_estimate(base)
     two = cmd_estimate(replace(base, workers=2))
-    same = one == two
-    return [CheckResult("worker-count-determinism", 1.0, 1.0 if same else 0.0, 0.0, same)]
+    return [_check("worker-count-determinism", 1.0, float(one == two), 0.0)]
 
 
 _SUITES = {
@@ -553,11 +541,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("predict", "estimate", "verify"):
         p = sub.add_parser(name)
-        for key, (_, parse, text) in _KEYS.items():
+        for key, (_, _, text) in _KEYS.items():
             if key == "quick" and name == "verify":
                 p.add_argument("--quick", action="store_true", default=None, help=text)
             elif name == "verify" or key not in ("suite", "quick"):
-                p.add_argument(f"--{key}", type=parse, help=text)
+                p.add_argument(f"--{key}", help=text)
         p.add_argument("--config", help="flat key=value file; flags take precedence")
     return parser
 

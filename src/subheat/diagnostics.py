@@ -9,11 +9,12 @@ kernel upper bound, and inverse-subordinator moment asymptotics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from . import samplers
+from .asymptotics import LadderReport, band_verdict, verdict
 from .estimators import _is_stable_draws
 from .levy_exponents import Stable, leading_index, levy_density, phi
 from .samplers import Kind, RandomStream, TimeChangeSpec, run_blocks
@@ -29,18 +30,12 @@ class LadderTooDeepError(RuntimeError):
     """Every sampled path missed the event; the ladder reaches too far down."""
 
 
-@dataclass(frozen=True)
-class LadderReport:
-    points: tuple[tuple[float, float, float], ...]  # (t, statistic, stderr)
-    fitted_slope: float | None
-    fitted_limit: float | None
-    target: float
-    passed: bool
-
-    def __post_init__(self):
-        ts = [p[0] for p in self.points]
-        if not all(a > b for a, b in zip(ts, ts[1:])):
-            raise ValueError("ladder points must be ordered by decreasing t")
+def _read_ladder(t_ladder, least: int = 1) -> list[float]:
+    """The ladder's times as floats by decreasing t, at least `least` of them."""
+    ts = sorted((float(t) for t in t_ladder), reverse=True)
+    if len(ts) < least:
+        raise ValueError(f"ladder needs at least {least} point(s), got {len(ts)}")
+    return ts
 
 
 def _test_function(tag: str, beta: float):
@@ -132,23 +127,18 @@ def check_levy_convergence(exp, f_tag: str, t_ladder, n: int, stream: RandomStre
     Stable exponents use the importance-sampled clock draws so the statistic
     has a usable relative error even when the support of f is a rare event for
     D_t; other exponents use plain draws and lean on the 4-stderr branch of
-    the pass rule.
+    the pass rule, the last rung within the larger of that and 2%.
     """
     beta = leading_index(exp)
     f = _test_function(f_tag, beta)
     target = _levy_integral(exp, f)
-    ts = sorted((float(t) for t in t_ladder), reverse=True)
-    if not ts:
-        raise ValueError("empty ladder")
     use_is = isinstance(exp, Stable)
     points = []
-    for t in ts:
+    for t in _read_ladder(t_ladder):
         mean, se = run_blocks(_levy_kernel, (exp, f, t, use_is), n, stream)
         points.append((t, mean, se))
-    t_f, stat_f, se_f = points[-1]
-    tol = max(4.0 * se_f, 0.02 * abs(target))
-    passed = abs(stat_f - target) <= tol
-    return LadderReport(tuple(points), None, stat_f, target, passed)
+    _, stat_f, se_f = points[-1]
+    return band_verdict(points, target, stat_f, se_f, 0.02)
 
 
 def check_small_ball(exp, delta: float, t_ladder, n: int, stream: RandomStream) -> LadderReport:
@@ -163,13 +153,10 @@ def check_small_ball(exp, delta: float, t_ladder, n: int, stream: RandomStream) 
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    ts = sorted((float(t) for t in t_ladder), reverse=True)
-    if len(ts) < 2:
-        raise ValueError("small-ball ladder needs at least 2 threshold points")
     beta = leading_index(exp)
     target = beta / (1.0 - beta)
     points = []
-    for t in ts:
+    for t in _read_ladder(t_ladder, 2):
         # the mean is P(D_delta <= t) e^shift
         if isinstance(exp, Stable):
             lam = (t * delta ** (-1.0 / beta)) ** (-beta / (1.0 - beta))
@@ -192,17 +179,16 @@ def check_small_ball(exp, delta: float, t_ladder, n: int, stream: RandomStream) 
     xs = np.array([math.log(1.0 / t) for t, _, _ in points])
     ys = np.array([math.log(stat) for _, stat, _ in points])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    passed = abs(slope - target) <= 0.1
-    return LadderReport(tuple(points), slope, None, target, passed)
+    return verdict(points, target, slope, 0.1)
 
 
 def check_heat_kernel_bound(exp, t: float, x_grid, n: int, stream: RandomStream) -> LadderReport:
     """Boundedness of the clock density against t x^(-1) phi(1/x).
 
-    Histograms D_t and D_{t/2} on x_grid bins and reports the worst ratio of
-    the density estimate to the bound envelope; the pass rule is stability
-    (within a factor 2) across the two t values, since the statement fixes no
-    constant.
+    Histograms D_t and D_{t/2} on x_grid bins, and the report's two points
+    are the worst ratios r_t, r_half of the density estimate to the bound
+    envelope; since the statement fixes no constant, the pass rule is
+    stability across the two t values: log(r_t/r_half) within log 2 of 0.
     """
     edges = np.asarray(x_grid, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
@@ -219,36 +205,32 @@ def check_heat_kernel_bound(exp, t: float, x_grid, n: int, stream: RandomStream)
         ratios.append(float(np.max(share / widths / (ti * envelope))))
     r_t, r_half = ratios
     finite = math.isfinite(r_t) and math.isfinite(r_half) and r_t > 0.0 and r_half > 0.0
-    passed = finite and abs(math.log(r_t / r_half)) <= math.log(2.0)
-    points = ((t, r_t, 0.0), (t / 2.0, r_half, 0.0))
-    return LadderReport(points, None, r_t, r_half if finite else math.inf, passed)
+    log_ratio = math.log(r_t / r_half) if finite else math.nan
+    return verdict(((t, r_t, 0.0), (t / 2.0, r_half, 0.0)), 0.0, log_ratio, math.log(2.0))
 
 
 def check_inverse_moments(exp, p: float, t_ladder, n: int, stream: RandomStream) -> LadderReport:
     """Moments of the inverse clock against Gamma(p+1)/Gamma(p beta + 1).
 
     The statistic E[E_t^p] * phi(1/t)^p is exactly t-independent for stable
-    exponents under the exact sampler; the delta-truncated variant (delta = 1)
-    must agree with the untruncated one in the limit.
+    exponents under the exact sampler, so the report reads the first rung
+    outside the larger of 4 stderr and 2% of the target, else the last; the
+    delta-truncated variant (delta = 1) must agree with the untruncated one
+    within 2% at the last rung, or the report fails.
     """
     if not p > 0.0:
         raise ValueError("moment order must be positive")
-    ts = sorted((float(t) for t in t_ladder), reverse=True)
-    if not ts:
-        raise ValueError("empty ladder")
     beta = leading_index(exp)
     target = math.gamma(p + 1.0) / math.gamma(p * beta + 1.0)
     spec = TimeChangeSpec(exp, Kind.INVERSE)
     points = []
-    trunc_ratio = 1.0
-    for t in ts:
+    for t in _read_ladder(t_ladder):
         scale = phi(exp, 1.0 / t) ** p
         (mean, se), (mean_trunc, _) = run_blocks(
             _inverse_moment_kernel, (spec, t, p, scale), n, stream
         )
         points.append((t, mean, se))
         trunc_ratio = mean_trunc / mean if mean > 0.0 else math.inf
-    t_f, stat_f, se_f = points[-1]
-    tol = max(4.0 * se_f, 0.02 * abs(target))
-    passed = abs(stat_f - target) <= tol and abs(trunc_ratio - 1.0) <= 0.02
-    return LadderReport(tuple(points), None, stat_f, target, passed)
+    rungs = [band_verdict(points, target, stat, se, 0.02) for _, stat, se in points]
+    report = next((r for r in rungs if not r.passed), rungs[-1])
+    return replace(report, passed=report.passed and abs(trunc_ratio - 1.0) <= 0.02)

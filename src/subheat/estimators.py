@@ -67,7 +67,7 @@ def _is_saturation(beta, t, u_cap):
     if max(abs(log_scale), abs(math.log(u_cap) - log_scale)) > _LOG_RANGE:
         raise ValueError(
             f"clock time {t:g} is out of range for importance sampling at index {beta:g}: "
-            f"the clock scale t^(1/b) = e^{log_scale:.0f} must lie within 1e300 of 1 and of "
+            f"the clock scale t^(1/b) = e^{log_scale:g} must lie within 1e300 of 1 and of "
             f"the deficit's time scale pi L^2/4 = {u_cap:g}"
         )
     s_cap = u_cap / t ** (1.0 / beta)

@@ -22,7 +22,7 @@ from subheat import (
     predict_spectral,
     stable_moment,
 )
-from subheat.asymptotics import HIGHINDEX_LIMIT, INVERSE_LIMIT, small_time_rate
+from subheat.asymptotics import HIGHINDEX_LIMIT, INVERSE_LIMIT, band_verdict, small_time_rate, verdict
 from subheat.heat_oracles import REGULAR, SPECTRAL
 from subheat.samplers import sample_stable
 
@@ -339,9 +339,10 @@ def test_fit_rate_recovers_exact_log_corrected_ladder():
         for t in ts
     ]
     report = fit_rate(samples, pred)
-    assert len(report.ratios) == 3
-    assert report.limit == pytest.approx(pred.constant, rel=1e-12)
-    assert report.rel_deviation < 1e-12
+    assert [t for t, _, _ in report.points] == ts
+    assert report.achieved == pytest.approx(pred.constant, rel=1e-12)
+    assert report.target == pred.constant
+    assert report.tolerance == 0.05 * pred.constant
     assert report.passed
 
 
@@ -353,7 +354,7 @@ def test_fit_rate_recovers_exact_sqrt_corrected_ladder():
         for t in ts
     ]
     report = fit_rate(samples, pred)
-    assert report.limit == pytest.approx(pred.constant, rel=1e-10)
+    assert report.achieved == pytest.approx(pred.constant, rel=1e-10)
     assert report.passed
 
 
@@ -367,7 +368,7 @@ def test_fit_rate_extrapolates_exact_mixed_critical_ladder():
     exact = {1e-6: 1.4990716, 1e-8: 1.4428344, 1e-10: 1.4089331}
     samples = [(t, r * pred.rate(t), 0.0) for t, r in exact.items()]
     report = fit_rate(samples, pred, tolerance=0.10)
-    assert report.limit == pytest.approx(4.0 / math.pi, abs=1e-4)
+    assert report.achieved == pytest.approx(4.0 / math.pi, abs=1e-4)
     assert report.passed
     assert abs(exact[1e-10] - pred.constant) > 0.10 * pred.constant
 
@@ -376,7 +377,7 @@ def test_fit_rate_flags_wrong_constant():
     pred = predict_spectral(Stable(0.5), UNIT, Kind.SUBORDINATOR)
     samples = [(t, 2.0 * pred.constant * pred.rate(t), 1e-6) for t in (1e-4, 1e-6, 1e-8)]
     report = fit_rate(samples, pred)
-    assert report.rel_deviation == pytest.approx(1.0, rel=1e-10)
+    assert report.achieved - report.target == pytest.approx(report.target, rel=1e-10)
     assert not report.passed
 
 
@@ -386,3 +387,13 @@ def test_fit_rate_ladder_validation():
         fit_rate([(1e-4, 1.0, 0.0), (1e-6, 1.0, 0.0)], pred)
     with pytest.raises(ValueError):
         fit_rate([(1e-6, 1.0, 0.0), (1e-4, 1.0, 0.0), (1e-8, 1.0, 0.0)], pred)
+
+
+def test_band_verdict_takes_the_wider_of_stderr_and_relative_band():
+    # 4 stderr of 0.5 over a scale of 2 is 1.0, wider than 10% of 5
+    wide = band_verdict((), 5.0, 5.9, 0.5, 0.1, scale=2.0)
+    assert (wide.tolerance, wide.passed) == (1.0, True)
+    narrow = band_verdict((), 5.0, 5.9, 0.05, 0.1, scale=2.0)
+    assert (narrow.tolerance, narrow.passed) == (0.5, False)
+    assert band_verdict((), 5.0, 5.9, 0.5, 0.1, extra_tol_se=0.0).tolerance == 0.5
+    assert not verdict((), 0.0, math.nan, math.inf).passed

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import runpy
 import signal
 import subprocess
 import sys
@@ -70,6 +71,28 @@ def test_estimate_inverse_csv_matches_golden():
         seed=7,
     )
     assert cmd_estimate(cfg) == (GOLDEN / "estimate_inverse.csv").read_text()
+
+
+# the verify suites of the benchmark's cli-sweep workload; perfbench/configs.py
+# imports nothing, so running it costs nothing
+_CLI_SUITES = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "configs.py"))["CLI_SUITES"]
+
+
+def _verify_quick_reports(suites) -> str:
+    """verify --quick --seed 0 of each suite, its runtime_s masked, as one JSON list."""
+    payloads = []
+    for suite in suites:
+        _, text = cmd_verify(RunConfig(suite=suite, quick=True, seed=0))
+        payload = json.loads(text)
+        for entry in payload["suites"]:
+            entry["runtime_s"] = None
+        payloads.append(payload)
+    return json.dumps(payloads, indent=2) + "\n"
+
+
+def test_verify_quick_matches_golden():
+    # every target, achieved value, tolerance and verdict, to the last digit
+    assert _verify_quick_reports(_CLI_SUITES) == (GOLDEN / "verify_quick.json").read_text()
 
 
 _PREDICT_GRID = json.loads((GOLDEN / "predict_grid.json").read_text(encoding="utf-8"))
@@ -346,12 +369,6 @@ def test_exit_2_on_unknown_suite(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
-def test_exit_2_on_bad_ladder_flag():
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--t-ladder", "1e-8,1e-6"])
-    assert exc.value.code == 2
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -386,12 +403,15 @@ def test_exit_2_on_bad_ladder_flag():
             "clock time 1e-100 is out of range for importance sampling",
         ),
         (["estimate", "--t", "2e4", "--paths", "64"], "and the rate t*log(1/t) finite and positive"),
+        # a flag's value is read by the same parser as a config file's
+        (["estimate", "--t-ladder", "1e-8,1e-6"], "t-ladder must be strictly decreasing"),
+        (["estimate", "--exponent", "stable:1e-300", "--t", "1e-3"], "clock scale t^(1/b) = e^-6.90776e+300 must"),
     ],
     ids=[
         "t-inf", "ladder-inf", "workers-0", "tempering-inf", "weight-inf", "predict-tempering-inf",
         "interval-inf", "interval-overflow", "disk-inf", "weight-overflow", "verify-workers-0", "verify-workers-negative",
         "tolerance-nan", "tolerance-zero", "t-subnormal", "interval-tiny", "disk-huge", "is-clock-underflow",
-        "rate-negative",
+        "rate-negative", "ladder-increasing", "is-clock-scale-overflow",
     ],
 )
 def test_exit_2_on_infinite_t_or_no_workers(argv, message, capsys):
@@ -399,6 +419,8 @@ def test_exit_2_on_infinite_t_or_no_workers(argv, message, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert message in err
+    # one short line, however far out of range the input is
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) <= 300
 
 
 def test_ratio_reads_a_deficit_far_below_the_volume(capsys):

@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
+from subheat import diagnostics
 from subheat import (
     HypothesisViolationError,
     LadderReport,
@@ -61,7 +62,7 @@ def test_levy_convergence_stable_bump_passes():
         Stable(0.5), "bump", [1e-2, 1e-3, 1e-4], 200_000, RandomStream(11)
     )
     assert report.passed
-    assert report.fitted_limit == pytest.approx(report.target, rel=0.05)
+    assert report.achieved == pytest.approx(report.target, rel=0.05)
     assert [t for t, _, _ in report.points] == [1e-2, 1e-3, 1e-4]
 
 
@@ -75,7 +76,7 @@ def test_levy_convergence_tempered_plain_branch_passes():
 def test_levy_convergence_zero_function():
     report = check_levy_convergence(Stable(0.5), "zero", [1e-3], 4096, RandomStream(0))
     assert report.target == 0.0
-    assert report.fitted_limit == 0.0
+    assert report.achieved == 0.0
     assert report.passed
 
 
@@ -96,7 +97,7 @@ def test_small_ball_stable_slope():
         Stable(0.25), 1.0, [1e-2, 3e-3, 1e-3, 3e-4, 1e-4], 200_000, RandomStream(3)
     )
     assert report.target == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert abs(report.fitted_slope - report.target) <= 0.1
+    assert abs(report.achieved - report.target) <= report.tolerance == 0.1
     assert report.passed
     stats = [s for _, s, _ in report.points]
     assert all(b > a for a, b in zip(stats, stats[1:]))
@@ -119,7 +120,7 @@ def test_small_ball_reports_are_reproducible():
     a = check_small_ball(Stable(0.5), 1.0, [1e-2, 1e-3], 65_536, RandomStream(9))
     b = check_small_ball(Stable(0.5), 1.0, [1e-2, 1e-3], 65_536, RandomStream(9))
     assert a.points == b.points
-    assert a.fitted_slope == b.fitted_slope
+    assert a.achieved == b.achieved
 
 
 def test_small_ball_indicator_branch_runs():
@@ -128,7 +129,7 @@ def test_small_ball_indicator_branch_runs():
     )
     assert len(report.points) == 3
     assert all(se > 0.0 for _, _, se in report.points)
-    assert math.isfinite(report.fitted_slope)
+    assert math.isfinite(report.achieved)
 
 
 def test_small_ball_ladder_too_deep():
@@ -155,7 +156,9 @@ def test_heat_kernel_bound_stable():
     grid = np.geomspace(1e-4, 10.0, 40)
     report = check_heat_kernel_bound(Stable(0.75), 1e-2, grid, 200_000, RandomStream(7))
     assert report.passed
-    assert report.fitted_limit > 0.0
+    assert all(r > 0.0 for _, r, _ in report.points)
+    assert (report.target, report.tolerance) == (0.0, math.log(2.0))
+    assert report.achieved == math.log(report.points[0][1] / report.points[1][1])
 
 
 def test_heat_kernel_bound_tempered():
@@ -189,6 +192,27 @@ def test_inverse_moments_stable_exact_t_independence():
     assert stats[2] == pytest.approx(stats[0], rel=1e-12)
     for _, stat, se in report.points:
         assert abs(stat - report.target) <= max(4.0 * se, 0.02 * report.target)
+    assert report.achieved == stats[2]
+    assert report.tolerance == max(4.0 * report.points[2][2], 0.02 * report.target)
+
+
+def test_inverse_moments_judge_every_rung_and_the_truncation(monkeypatch):
+    # stub block means: (plain, truncated) moment per rung, stderr 1e-3
+    target = 2.0 / math.sqrt(math.pi)
+
+    def run(rungs, ladder=(1e-2, 1e-4)):
+        means = iter(((m, 1e-3), (m_trunc, 0.0)) for m, m_trunc in rungs)
+        monkeypatch.setattr(diagnostics, "run_blocks", lambda *args, **kwargs: next(means))
+        return check_inverse_moments(Stable(0.5), 1.0, ladder, 64, RandomStream(0))
+
+    on = run([(target, target), (target, target)])
+    assert on.passed and (on.achieved, on.tolerance) == (target, 0.02 * target)
+    # the first rung 10% off fails the check though the last one is on target
+    off = run([(1.1 * target, 1.1 * target), (target, target)])
+    assert not off.passed and off.achieved == 1.1 * target
+    # a truncated moment at half the plain one fails the check as well
+    cut = run([(target, target), (target, 0.5 * target)])
+    assert not cut.passed and (cut.achieved, cut.tolerance) == (target, 0.02 * target)
 
 
 def test_inverse_moments_second_order():
@@ -218,4 +242,4 @@ def test_inverse_moments_validation():
 
 def test_ladder_report_rejects_unsorted_points():
     with pytest.raises(ValueError):
-        LadderReport(((1e-3, 1.0, 0.0), (1e-2, 1.0, 0.0)), None, None, 0.0, True)
+        LadderReport(((1e-3, 1.0, 0.0), (1e-2, 1.0, 0.0)), 1.0, 1.0, 0.0, True)
