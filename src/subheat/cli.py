@@ -157,6 +157,8 @@ def _load_config_file(path: str) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r}")
+            if key in out:
+                raise ValueError(f"config key {key!r} given twice")
             out[key] = val
     return out
 

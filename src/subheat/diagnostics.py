@@ -2,8 +2,8 @@
 
 These do not estimate heat contents; they validate the supporting limits the
 heat-content asymptotics lean on: small-time convergence of rescaled
-subordinator laws to the Levy measure, small-ball decay exponents, the heat
-kernel upper bound, and inverse-subordinator moment asymptotics.
+subordinator laws to the Levy measure, small-ball decay exponents, and
+inverse-subordinator moment asymptotics.
 """
 
 from __future__ import annotations
@@ -31,10 +31,14 @@ class LadderTooDeepError(RuntimeError):
 
 
 def _read_ladder(t_ladder, least: int = 1) -> list[float]:
-    """The ladder's times as floats by decreasing t, at least `least` of them."""
+    """The ladder's times as floats by decreasing t, at least `least` of them,
+    each once: checked before any rung draws."""
     ts = sorted((float(t) for t in t_ladder), reverse=True)
     if len(ts) < least:
         raise ValueError(f"ladder needs at least {least} point(s), got {len(ts)}")
+    for a, b in zip(ts, ts[1:]):
+        if a == b:
+            raise ValueError(f"ladder repeats t = {a:g}")
     return ts
 
 
@@ -101,16 +105,6 @@ def _small_ball_stable_kernel(args, stream, lo, size, n):
     beta, lam = args
     u = np.maximum(stream.uniforms(size), 2.0**-54)
     return np.exp(-lam * (samplers.kanter_angle(u, beta) - samplers.kanter_angle_min(beta)))
-
-
-def _bin_kernel(args, stream, lo, size, n):
-    # one indicator row per bin of D_t, binned as np.histogram bins: each
-    # half-open on the right but the last, which holds its right edge
-    exp, t, edges = args
-    d = samplers.sample_subordinator(exp, t, stream, size)
-    idx = np.searchsorted(edges, d, side="right") - 1
-    idx[d == edges[-1]] = edges.size - 2
-    return (idx == np.arange(edges.size - 1)[:, None]).astype(float)
 
 
 def _inverse_moment_kernel(args, stream, lo, size, n):
@@ -180,33 +174,6 @@ def check_small_ball(exp, delta: float, t_ladder, n: int, stream: RandomStream) 
     ys = np.array([math.log(stat) for _, stat, _ in points])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return verdict(points, target, slope, 0.1)
-
-
-def check_heat_kernel_bound(exp, t: float, x_grid, n: int, stream: RandomStream) -> LadderReport:
-    """Boundedness of the clock density against t x^(-1) phi(1/x).
-
-    Histograms D_t and D_{t/2} on x_grid bins, and the report's two points
-    are the worst ratios r_t, r_half of the density estimate to the bound
-    envelope; since the statement fixes no constant, the pass rule is
-    stability across the two t values: log(r_t/r_half) within log 2 of 0.
-    """
-    edges = np.asarray(x_grid, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
-        raise ValueError("x_grid must be increasing bin edges with at least 2 entries")
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    mids = np.sqrt(edges[:-1] * edges[1:])
-    widths = np.diff(edges)
-    envelope = mids ** -1.0 * phi(exp, 1.0 / mids)
-    ratios = []
-    for ti in (t, t / 2.0):
-        # the share of paths in each bin; one bin's run_blocks gives one (mean, stderr) pair
-        share = np.reshape(run_blocks(_bin_kernel, (exp, ti, edges), n, stream), (-1, 2))[:, 0]
-        ratios.append(float(np.max(share / widths / (ti * envelope))))
-    r_t, r_half = ratios
-    finite = math.isfinite(r_t) and math.isfinite(r_half) and r_t > 0.0 and r_half > 0.0
-    log_ratio = math.log(r_t / r_half) if finite else math.nan
-    return verdict(((t, r_t, 0.0), (t / 2.0, r_half, 0.0)), 0.0, log_ratio, math.log(2.0))
 
 
 def check_inverse_moments(exp, p: float, t_ladder, n: int, stream: RandomStream) -> LadderReport:

@@ -23,6 +23,11 @@ with a share spread to the far horizon u_max, so the weights stay bounded;
 each path scores P(D_u < t) given the Kanter angle of the clock's last
 component and the plain draws of the others, so nearly every path scores.
 
+Importance sampling and duality are the two weighted routes.  Both draw the
+clock without its tempering and weight a tempered clock by one density ratio,
+_tilt, e^(clock * sum of w theta^b - theta d); their stable values come from
+the one Kanter form, samplers._kanter_stable.
+
 Each estimator is a block kernel, a few lines that turn one block's clock
 draws into the heat lost per path, run by the block engine samplers.run_blocks:
 one counter-based stream per block of BLOCK paths, block moments combined by a
@@ -61,14 +66,19 @@ def _is_saturation(beta, t, u_cap):
 
     In Kanter form D_t = t^(1/b) (A/e)^((1-b)/b) passes u_cap = s_cap t^(1/b)
     only for e below e_sat = A(0+) s_cap^(-b/(1-b)) or so: a rare event, which
-    the importance proposal targets while e_sat is below _is_switch(b).
+    the importance proposal targets while e_sat is below _is_switch(b).  The
+    proposal's angle grows like s_cap^(b/(1-b)), which must stay within 1e300
+    of 1 too; it can leave that range only for b > 1/2, where no estimate
+    takes this route.
     """
     log_scale = math.log(t) / beta
-    if max(abs(log_scale), abs(math.log(u_cap) - log_scale)) > _LOG_RANGE:
+    log_cap = math.log(u_cap) - log_scale
+    if max(abs(log_scale), abs(log_cap), abs(log_cap * beta / (1.0 - beta))) > _LOG_RANGE:
         raise ValueError(
             f"clock time {t:g} is out of range for importance sampling at index {beta:g}: "
             f"the clock scale t^(1/b) = e^{log_scale:g} must lie within 1e300 of 1 and of "
-            f"the deficit's time scale pi L^2/4 = {u_cap:g}"
+            f"the deficit's time scale pi L^2/4 = {u_cap:g}, and their ratio "
+            f"s = e^{log_cap:g} must have s^(b/(1-b)) within 1e300 of 1"
         )
     s_cap = u_cap / t ** (1.0 / beta)
     return s_cap, samplers.kanter_angle_min(beta) * s_cap ** (-beta / (1.0 - beta))
@@ -108,10 +118,7 @@ def _is_stable_draws(beta, t, u_cap, u_v, u_e):
     v = v_min * np.exp(log_v * u_v)
     e = e_min * np.exp(log_e * u_e)
     w = (log_v * v) * (log_e * e * np.exp(-e))
-    a = samplers.kanter_angle_tail(v, beta)
-    with np.errstate(over="ignore"):
-        d = np.minimum(t ** (1.0 / beta) * (a / e) ** ((1.0 - beta) / beta), 1e300)
-    return d, w
+    return samplers._kanter_stable(beta, t, samplers.kanter_ratio_tail(v, beta), e), w
 
 
 # scrambled nets an importance-sampled estimate is split into, at least: its
@@ -165,8 +172,7 @@ def _deficit_is_draws(args, stream, lo, size, n):
         if i + 1 < len(comps):
             s_prev = np.minimum(s_prev + samplers.stable_from_uniforms(b, wt * t, u[4 * i + 2], u[4 * i + 3]), 1e300)
     if exp.theta > 0.0:  # a tempered exponent has one component, drawn as d
-        with np.errstate(under="ignore"):
-            out *= np.exp(-exp.theta * d + t * exp.theta**exp.beta)
+        out *= _tilt(exp, t, d)
     return out.reshape(nets, -1).mean(axis=1)
 
 
@@ -186,9 +192,18 @@ def _draw_kernel(args, stream, lo, size, n):
 
 
 def _tilt_rate(exp):
-    """Sum of w theta^b over components: D_u's tilt to the tempered law is
-    e^(u * this - theta D_u); 0 for an untempered exponent."""
+    """Sum of w theta^b over components, the rate in _tilt; 0 for an
+    untempered exponent."""
     return sum(w * exp.theta**b for b, w in exp.components)
+
+
+def _tilt(exp, clock, d):
+    """The density ratio e^(clock * _tilt_rate - theta d) of the tempered
+    clock's value d at clock time `clock` to its untempered twin's: the
+    weight of both weighted routes, which draw the clock without its
+    tempering."""
+    with np.errstate(under="ignore"):
+        return np.exp(clock * _tilt_rate(exp) - exp.theta * d)
 
 
 # share of the duality proposal spread up to the far horizon u_max, a
@@ -221,7 +236,7 @@ def _duality_kernel(args, stream, lo, size, n):
     score *= rate(dom, u)
     score *= p
     if exp.theta > 0.0:
-        score *= np.exp(u * _tilt_rate(exp) - exp.theta * d)
+        score *= _tilt(exp, u, d)
     return score
 
 

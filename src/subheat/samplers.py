@@ -2,7 +2,11 @@
 
 All variates derive from counter-based Philox streams keyed by (seed,
 stream_key), so any draw sequence is reproducible bit-for-bit regardless of
-scheduling. Stable variates use Kanter's representation (exact, no rejection);
+scheduling. Stable variates use Kanter's representation (exact, no rejection),
+and every stable marginal S_t, plain (_stable_block), from net columns
+(stable_from_uniforms) or from the importance proposal's tail angles
+(kanter_ratio_tail), is formed by one function, _kanter_stable, from the
+Kanter ratio A^(1-beta) with one overflow fallback near beta = 1;
 tempered variates, marginals and grid-walk increments alike, go through one
 exponential-tilt rejection loop, _tilted_rows, called by _subordinator_block;
 inverse variates use the exact first-passage identity for stable exponents and
@@ -11,8 +15,7 @@ sample_clock picks the subordinator or the inverse sampler by the kind of a
 TimeChangeSpec.
 sobol_uniforms draws scrambled Sobol nets (Joe-Kuo direction numbers,
 Matousek's linear scramble and a digital shift, all randomness from the
-stream), which the importance-sampled estimator feeds its clock draws with;
-stable_from_uniforms turns two such columns into stable marginals.
+stream), which the importance-sampled estimator feeds its clock draws with.
 sample_untempered_below draws D_u given D_u < t at one clock time per path,
 with the conditional probability of that event, which the duality estimator
 of inverse clocks scores in place of the grid walk at small times.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_exponents import LaplaceExponent, MixedStable, Stable, TemperedStable, phi_prime
+from .levy_exponents import LaplaceExponent, Stable, TemperedStable, phi_prime
 
 _OPEN_EPS = 2.0**-54  # keeps uniforms strictly inside (0,1)
 BLOCK = 32768
@@ -337,8 +340,9 @@ def kanter_angle_min(beta: float) -> float:
     return (beta**beta * (1.0 - beta) ** (1.0 - beta)) ** (1.0 / (1.0 - beta))
 
 
-def kanter_angle_tail(v, beta: float):
-    """A(1-v) evaluated without cancellation, valid down to v ~ 1e-300.
+def kanter_ratio_tail(v, beta: float):
+    """The Kanter ratio A(1-v)^(1-beta), evaluated without cancellation,
+    valid down to v ~ 1e-300.
 
     Double precision loses sin(pi(1-v)) entirely for v below ~1e-16, so the
     sine arguments are expanded exactly around u = 1; importance-sampled
@@ -350,27 +354,17 @@ def kanter_angle_tail(v, beta: float):
     n1 = sb * np.cos(b * np.pi * v) - cb * np.sin(b * np.pi * v)
     n2 = s1b * np.cos((1.0 - b) * np.pi * v) - c1b * np.sin((1.0 - b) * np.pi * v)
     den = np.sin(np.pi * v)
-    return (n1**b * n2 ** (1.0 - b) / den) ** (1.0 / (1.0 - b))
+    return n1**b * n2 ** (1.0 - b) / den
 
 
 def _kanter_variates(beta: float, stream: RandomStream, shape):
-    """U, A(U) and E of the given shape: S_1 = (A(U)/E)^((1-beta)/beta)."""
+    """The Kanter ratio A(U)^(1-beta) and E of the given shape, for U uniform
+    and E unit exponential: S_1 = (A(U)/E)^((1-beta)/beta)."""
     u = stream.uniforms(shape)
     np.maximum(u, _OPEN_EPS, out=u)
     e = stream.exponentials(shape)
     np.maximum(e, 1e-300, out=e)
-    with np.errstate(over="ignore"):
-        return u, kanter_angle(u, beta), e
-
-
-def _kanter_power(u, e, beta: float):
-    """(A(u)/e)^(1-beta), formed from the Kanter ratio A^(1-beta).
-
-    Near beta = 1 the power 1/(1-beta) takes A, or A/E, past double range for
-    u near 1 (0.1% of draws at beta = 0.999), while this stays of order 1;
-    at those draws S_1 is its 1/beta-th power and E_1 its inverse.
-    """
-    return _kanter_ratio(u, beta) / e ** (1.0 - beta)
+    return _kanter_ratio(u, beta), e
 
 
 def _stable_block(beta: float, t: float, stream: RandomStream, shape):
@@ -380,20 +374,26 @@ def _stable_block(beta: float, t: float, stream: RandomStream, shape):
 
 def stable_from_uniforms(beta: float, t: float, u, w):
     """S_t from uniforms u and w strictly inside (0, 1), one per value: the
-    Kanter angle A(u) and the exponential variate E = -log w."""
-    e = -np.log(w)
-    with np.errstate(over="ignore"):
-        return _kanter_stable(beta, t, u, kanter_angle(u, beta), e)
+    Kanter ratio at u and the exponential variate E = -log w."""
+    return _kanter_stable(beta, t, _kanter_ratio(u, beta), -np.log(w))
 
 
-def _kanter_stable(beta: float, t: float, u, s, e):
-    """S_t = t^(1/beta) (A(u)/e)^((1-beta)/beta), formed in s = A(u)."""
+def _kanter_stable(beta: float, t: float, ratio, e):
+    """S_t = t^(1/beta) (A/e)^((1-beta)/beta) from the Kanter ratio
+    ratio = A^(1-beta) and the exponential variate e, capped at 1e300.
+
+    Near beta = 1 the power 1/(1-beta) takes A, or A/e, past double range for
+    angles near u = 1 (0.1% of plain draws at beta = 0.999, and more of the
+    importance proposal's tail draws), while ratio / e^(1-beta) stays in
+    range; at those draws S_1 is its 1/beta-th power.
+    """
     with np.errstate(over="ignore"):
+        s = ratio ** (1.0 / (1.0 - beta))
         s /= e
         over = np.isinf(s)
         s **= (1.0 - beta) / beta
         if over.any():
-            s[over] = _kanter_power(u[over], e[over], beta) ** (1.0 / beta)
+            s[over] = (ratio[over] / e[over] ** (1.0 - beta)) ** (1.0 / beta)
         s *= t ** (1.0 / beta)
     return np.minimum(s, 1e300, out=s)
 
@@ -458,8 +458,8 @@ def sample_untempered_below(exp: LaplaceExponent, u, t: float, stream: RandomStr
     last is below r = t - d exactly when E exceeds
     e* = (w u rho / r^b)^(1/(1-b)), so p = e^-e* (0 where d >= t) and, E
     being memoryless, E = e* + Exp(1) draws it given D < t.  Each is one
-    power of a product, as in _kanter_power, so nothing leaves double range
-    near b = 0 or b = 1.  Weighted by p and the exponential tilt
+    power of a product, as in _kanter_stable's fallback, so nothing leaves
+    double range near b = 0 or b = 1.  Weighted by p and the exponential tilt
     e^(u theta^b - theta D), the draws score P(D_u < t) under the tempered law.
     """
     u = np.asarray(u, dtype=float)
@@ -498,11 +498,6 @@ def sample_stable(beta: float, t: float, stream: RandomStream, size=None):
 def sample_tempered(beta: float, theta: float, t: float, stream: RandomStream, size=None):
     """Tempered stable marginal for phi(s) = (s+theta)^beta - theta^beta."""
     return sample_subordinator(TemperedStable(beta, theta), t, stream, size)
-
-
-def sample_mixed(components, t: float, stream: RandomStream, size=None):
-    """Sum of independent stable marginals, one per (beta_i, w_i) component."""
-    return sample_subordinator(MixedStable(tuple(components)), t, stream, size)
 
 
 _STEP_GUARD = 10**9
@@ -621,14 +616,15 @@ def sample_inverse(spec: TimeChangeSpec, t: float, stream: RandomStream, size=No
     exp = spec.exponent
     if isinstance(exp, Stable):
         b = exp.beta
-        u, a, e = _kanter_variates(b, stream, n)
+        ratio, e = _kanter_variates(b, stream, n)
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            a = ratio ** (1.0 / (1.0 - b))
             s = np.divide(a, e)
             over = np.isinf(s)
-            q = _kanter_power(u[over], e[over], b)
+            q = ratio[over] / e[over] ** (1.0 - b)
             s **= (1.0 - b) / b
             np.minimum(s, 1e300, out=s)
-            out = np.divide(t, s, out=u)  # u is spent, and its buffer takes E_t
+            out = np.divide(t, s, out=ratio)  # ratio is spent, and its buffer takes E_t
             lost = s >= 1e300
             lost |= ~np.isfinite(out)
             lost |= np.minimum(s, out, out=s) < np.finfo(float).tiny

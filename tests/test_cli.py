@@ -253,6 +253,14 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_config_file_repeated_key_exits_2(tmp_path, capsys):
+    # the last of two lines must not silently win
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("paths = 64\nt = 1e-3\npaths = 128\n")
+    assert main(["estimate", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == "configuration error: config key 'paths' given twice\n"
+
+
 @pytest.mark.parametrize(
     "line,message",
     [

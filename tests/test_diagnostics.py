@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
@@ -14,7 +13,6 @@ from subheat import (
     RandomStream,
     Stable,
     TemperedStable,
-    check_heat_kernel_bound,
     check_inverse_moments,
     check_levy_convergence,
     check_small_ball,
@@ -89,6 +87,31 @@ def test_levy_convergence_validation():
         check_levy_convergence(Stable(0.5), "bump", [], 64, RandomStream(0))
 
 
+@pytest.mark.parametrize("beta,t", [(0.99, 1e-2), (0.9, 1e-30)])
+def test_levy_convergence_refuses_a_proposal_out_of_range(beta, t):
+    # the tail proposal's angle (u_cap / t^(1/b))^(b/(1-b)) leaves double
+    # range here; the range check refuses it instead of an OverflowError
+    with pytest.raises(ValueError, match="out of range for importance sampling"):
+        check_levy_convergence(Stable(beta), "bump", [t], 4096, RandomStream(0))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda ladder: check_levy_convergence(Stable(0.5), "bump", ladder, 400_000, RandomStream(0)),
+        lambda ladder: check_small_ball(Stable(0.5), 1.0, ladder, 400_000, RandomStream(0)),
+        lambda ladder: check_inverse_moments(Stable(0.5), 1.0, ladder, 400_000, RandomStream(0)),
+    ],
+    ids=["levy", "small-ball", "inverse-moments"],
+)
+def test_repeated_ladder_time_is_refused_before_any_draw(monkeypatch, check):
+    calls = []
+    monkeypatch.setattr(diagnostics, "run_blocks", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="repeats t = 0.001"):
+        check([1e-3, 1e-3])
+    assert calls == []
+
+
 # ------------------------------------------------------------- small ball
 
 
@@ -147,33 +170,6 @@ def test_small_ball_validation():
         check_small_ball(Stable(0.5), 0.0, [1e-2, 1e-3], 64, RandomStream(0))
     with pytest.raises(ValueError):
         check_small_ball(Stable(0.5), 1.0, [1e-2], 64, RandomStream(0))
-
-
-# ------------------------------------------------------------ heat kernel
-
-
-def test_heat_kernel_bound_stable():
-    grid = np.geomspace(1e-4, 10.0, 40)
-    report = check_heat_kernel_bound(Stable(0.75), 1e-2, grid, 200_000, RandomStream(7))
-    assert report.passed
-    assert all(r > 0.0 for _, r, _ in report.points)
-    assert (report.target, report.tolerance) == (0.0, math.log(2.0))
-    assert report.achieved == math.log(report.points[0][1] / report.points[1][1])
-
-
-def test_heat_kernel_bound_tempered():
-    grid = np.geomspace(1e-4, 10.0, 40)
-    report = check_heat_kernel_bound(
-        TemperedStable(0.5, 1.0), 1e-2, grid, 200_000, RandomStream(7)
-    )
-    assert report.passed
-
-
-def test_heat_kernel_validation():
-    with pytest.raises(ValueError):
-        check_heat_kernel_bound(Stable(0.5), 1e-2, [1.0, 0.5], 64, RandomStream(0))
-    with pytest.raises(ValueError):
-        check_heat_kernel_bound(Stable(0.5), 0.0, [0.5, 1.0], 64, RandomStream(0))
 
 
 # -------------------------------------------------------- inverse moments

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import math
+import struct
 import os
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -29,6 +31,7 @@ from subheat import (
     exact_H_interval,
     exact_H_rate_interval,
     exact_Q_interval,
+    parse_domain,
     parse_exponent,
     phi,
     subordinate_deficit_series,
@@ -111,6 +114,45 @@ def test_worker_bit_identity(exp, dom, kind, quantity):
     assert a.value == b.value
     assert a.deficit == b.deficit
     assert a.stderr == b.stderr
+
+
+@pytest.mark.parametrize(
+    "exponent,domain,kind,quantity,t,kernel,digest",
+    [
+        ("tempered:0.25,1", "interval:0,1", "sub", "spectral", 1e-6, "_deficit_is_draws",
+         "df04f319742a5a0d2f91b43f56c5beaa5d288bb37fc034db02a135af6e9204e1"),
+        ("tempered:0.5,1", "interval:0,1", "sub", "spectral", 1e-8, "_deficit_is_draws",
+         "f3bb9367d04ed13e721f9ad806cc22987d96aa4ac22dce2dad04c058e1813db8"),
+        ("mixed:0.25*1+0.5*1", "interval:0,1", "sub", "spectral", 1e-8, "_deficit_is_draws",
+         "726315cee3d3c08198e2e628c7ef0d27c210a15492a49305e4a952d621e5db8f"),
+        ("mixed:0.1*1+0.3*2", "disk:1", "sub", "spectral", 1e-6, "_deficit_is_draws",
+         "a1f46147ba6fc8fe209f5323a4c802b2ff3c770a88e99cbc1d6578da073a51cc"),
+        ("tempered:0.5,1", "interval:0,1", "inv", "spectral", 1e-3, "_duality_kernel",
+         "881cb3c9e1359ff190170f0c899e1282afdd0baf7527a924c61761f2a5c8c37d"),
+        ("tempered:0.5,1", "interval:0,1", "inv", "regular", 1e-3, "_duality_kernel",
+         "c1470e04db62ff88c83034e11f48216b62c036beba93e5ac424181452c428379"),
+        ("mixed:0.25*1+0.5*1", "interval:0,1", "inv", "regular", 1e-3, "_duality_kernel",
+         "d360f5a6e8053987841d1d468e934481427b8785d96ff29b3b6e46d2759468f7"),
+        ("tempered:0.25,3", "disk:2", "inv", "spectral", 1e-3, "_duality_kernel",
+         "69ea99dfedf712ff4e1ee0073a230ea1d226bd74cb1af96c0916fb5912460919"),
+        ("tempered:0.75,1", "interval:0,1", "sub", "spectral", 1e-3, "_draw_kernel",
+         "f853fd0878f570b2ed43218d52f2daac0f97926fb8a6a0b3677b2736dbddf569"),
+        ("tempered:0.75,1", "interval:0,1", "sub", "regular", 1e-3, "_draw_kernel",
+         "55ee856c062b30a7789522c93618d6ac4eb3cdefaf362185d7d0caae86eead48"),
+        ("stable:0.75", "interval:0,1", "sub", "regular", 1e-3, "_draw_kernel",
+         "885b050682c846e2f06b979b5abee8f39da91b34459c4928aeae59e117985a64"),
+    ],
+    ids=lambda x: x[:8] if isinstance(x, str) and len(x) == 64 else None,
+)
+def test_route_digests(exponent, domain, kind, quantity, t, kernel, digest):
+    # sha256 of the packed (value, deficit, stderr) of a 40,000-path estimate,
+    # two blocks with a ragged last one, on each route and family that no
+    # golden pins: the importance-sampled and duality routes with their tilt
+    # weights, and plain tempered and high-index draws
+    spec, dom = TimeChangeSpec(parse_exponent(exponent), Kind(kind)), parse_domain(domain)
+    assert _clock_kernel(spec, dom, t, quantity)[0].__name__ == kernel
+    est = estimate(spec, dom, t, 40_000, RandomStream(21), quantity)
+    assert hashlib.sha256(struct.pack("<3d", est.value, est.deficit, est.stderr)).hexdigest() == digest
 
 
 def test_run_blocks_validates_and_caps_workers(monkeypatch):
