@@ -5,8 +5,9 @@ stream_key), so any draw sequence is reproducible bit-for-bit regardless of
 scheduling. Stable variates use Kanter's representation (exact, no rejection),
 and every stable marginal S_t, plain (_stable_block), from net columns
 (stable_from_uniforms) or from the importance proposal's tail angles
-(kanter_ratio_tail), is formed by one function, _kanter_stable, from the
-Kanter ratio A^(1-beta) with one overflow fallback near beta = 1;
+(kanter_ratio_tail), or a leading component of sample_untempered_below, is
+formed by one function, _kanter_stable, as one power of one product of the
+Kanter ratio A^(1-beta), so no value leaves double range unless S_t does;
 tempered variates, marginals and grid-walk increments alike, go through one
 exponential-tilt rejection loop, _tilted_rows, called by _subordinator_block;
 inverse variates use the exact first-passage identity for stable exponents and
@@ -378,24 +379,21 @@ def stable_from_uniforms(beta: float, t: float, u, w):
     return _kanter_stable(beta, t, _kanter_ratio(u, beta), -np.log(w))
 
 
-def _kanter_stable(beta: float, t: float, ratio, e):
-    """S_t = t^(1/beta) (A/e)^((1-beta)/beta) from the Kanter ratio
-    ratio = A^(1-beta) and the exponential variate e, capped at 1e300.
+def _kanter_stable(beta: float, t, ratio, e):
+    """S_t = (t ratio / e^(1-beta))^(1/beta) from the Kanter ratio
+    ratio = A^(1-beta) and the exponential variate e, capped at 1e300; t is a
+    time or an array of them, one per value.
 
-    Near beta = 1 the power 1/(1-beta) takes A, or A/e, past double range for
-    angles near u = 1 (0.1% of plain draws at beta = 0.999, and more of the
-    importance proposal's tail draws), while ratio / e^(1-beta) stays in
-    range; at those draws S_1 is its 1/beta-th power.
+    One power of one product, which leaves double range only where S_t
+    itself does, at any beta and t.  The product is formed in place on
+    ratio, which the caller hands over fresh, so the only block-sized
+    temporary is e^(1-beta).
     """
     with np.errstate(over="ignore"):
-        s = ratio ** (1.0 / (1.0 - beta))
-        s /= e
-        over = np.isinf(s)
-        s **= (1.0 - beta) / beta
-        if over.any():
-            s[over] = (ratio[over] / e[over] ** (1.0 - beta)) ** (1.0 / beta)
-        s *= t ** (1.0 / beta)
-    return np.minimum(s, 1e300, out=s)
+        ratio *= t
+        ratio /= e ** (1.0 - beta)
+        ratio **= 1.0 / beta
+    return np.minimum(ratio, 1e300, out=ratio)
 
 
 _ROW_TILT = 0.5  # largest k h theta^b at which rows of k increments are accepted whole
@@ -454,12 +452,12 @@ def sample_untempered_below(exp: LaplaceExponent, u, t: float, stream: RandomStr
     drawn given D < t, and the probability p of D < t given the draws.
 
     A component (b, w) in Kanter form is (w u rho / E^(1-b))^(1/b), with
-    rho = A(U)^(1-b).  Every component but the last is drawn so, to d.  The
-    last is below r = t - d exactly when E exceeds
+    rho = A(U)^(1-b).  Every component but the last is drawn so, to d, by
+    _kanter_stable.  The last is below r = t - d exactly when E exceeds
     e* = (w u rho / r^b)^(1/(1-b)), so p = e^-e* (0 where d >= t) and, E
     being memoryless, E = e* + Exp(1) draws it given D < t.  Each is one
-    power of a product, as in _kanter_stable's fallback, so nothing leaves
-    double range near b = 0 or b = 1.  Weighted by p and the exponential tilt
+    power of a product, as in _kanter_stable, so nothing leaves double range
+    near b = 0 or b = 1.  Weighted by p and the exponential tilt
     e^(u theta^b - theta D), the draws score P(D_u < t) under the tempered law.
     """
     u = np.asarray(u, dtype=float)
@@ -467,8 +465,7 @@ def sample_untempered_below(exp: LaplaceExponent, u, t: float, stream: RandomStr
     d = 0.0
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         for b_i, w_i in rest:
-            rho = _kanter_ratio(np.maximum(stream.uniforms(u.shape), _OPEN_EPS), b_i)
-            d = d + (w_i * u * rho / stream.exponentials(u.shape) ** (1.0 - b_i)) ** (1.0 / b_i)
+            d = d + _kanter_stable(b_i, w_i * u, *_kanter_variates(b_i, stream, u.shape))
         wu_rho = _kanter_ratio(np.maximum(stream.uniforms(u.shape), _OPEN_EPS), b)
         wu_rho *= u
         wu_rho *= w
@@ -599,14 +596,12 @@ def _grid_inverse_block(exp, t, grid_step, refine, stream, n):
 def sample_inverse(spec: TimeChangeSpec, t: float, stream: RandomStream, size=None):
     """Inverse-subordinator marginal E_t = inf{u : D_u > t}.
 
-    Exact for stable exponents via E_t = (t / S_1)^beta; grid first passage
-    with conditional bisection refinement otherwise. Raises
-    RunawaySamplerError if a walk exceeds 1e9 steps without crossing.
-    At small beta the power (1-beta)/beta of S_1 = (A/E)^((1-beta)/beta)
-    leaves double range; where S_1 or t/S_1 is not a normal float, or S_1
-    reaches the 1e300 cap, E_t = t^beta (E/A)^(1-beta) comes from the same
-    Kanter variates without it, and where A/E itself overflows (beta near 1)
-    E_t = t^beta / (A/E)^(1-beta) from the Kanter ratio A^(1-beta).
+    Exact for stable exponents via E_t = (t / S_1)^beta, formed from the
+    Kanter variates as t^beta E^(1-beta) / A^(1-beta): no power of S_1 is
+    taken, so E_t leaves double range only where it does itself, also
+    where S_1 is past it.  Grid first passage with conditional bisection refinement
+    otherwise.  Raises RunawaySamplerError if a walk exceeds 1e9 steps
+    without crossing.
     """
     if spec.kind is not Kind.INVERSE:
         raise ValueError("sample_inverse requires an InverseSubordinator spec")
@@ -617,20 +612,9 @@ def sample_inverse(spec: TimeChangeSpec, t: float, stream: RandomStream, size=No
     if isinstance(exp, Stable):
         b = exp.beta
         ratio, e = _kanter_variates(b, stream, n)
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            a = ratio ** (1.0 / (1.0 - b))
-            s = np.divide(a, e)
-            over = np.isinf(s)
-            q = ratio[over] / e[over] ** (1.0 - b)
-            s **= (1.0 - b) / b
-            np.minimum(s, 1e300, out=s)
-            out = np.divide(t, s, out=ratio)  # ratio is spent, and its buffer takes E_t
-            lost = s >= 1e300
-            lost |= ~np.isfinite(out)
-            lost |= np.minimum(s, out, out=s) < np.finfo(float).tiny
-            out **= b
-        out[lost] = t**b * (e[lost] / a[lost]) ** (1.0 - b)
-        out[over] = t**b / q
+        out = np.power(e, 1.0 - b, out=e)
+        out *= t**b
+        out /= ratio
     else:
         h = spec.grid_step if spec.grid_step is not None else t * 1e-3
         out = _grid_inverse_block(exp, t, h, _REFINE_BISECTIONS, stream, n)

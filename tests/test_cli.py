@@ -759,14 +759,15 @@ def test_every_grammar_input_answers_or_exits_with_its_code(exponent, domain, ki
             assert err.getvalue(), argv
 
 
-@pytest.mark.xfail(strict=True, reason="known hangs, kept visible until the samplers are mended")
+@pytest.mark.xfail(strict=True, reason="a known hang and a slow case, kept visible until the samplers are mended")
 @pytest.mark.parametrize(
     "argv",
     [
         # plain tempered draws loop ceil(t theta^b) chunks in Python
         ["--exponent", "tempered:0.75,1", "--t", "1e6"],
-        # past the duality regime the grid walk's increments h^(1/b) S_1
-        # are 0 or 0 * inf = nan at b = 2^-7, so the walk never crosses t
+        # past the duality regime the grid walk at b = 2^-7 has finite
+        # increments and crosses t, but it takes 6.6 to 7.8 s, over the
+        # budget: a slow case now, not a hang
         ["--exponent", "tempered:0.0078125,1", "--time-change", "inv", "--t", "1"],
     ],
     ids=["tempered-large-t", "tempered-small-index-walk"],

@@ -120,13 +120,13 @@ def test_worker_bit_identity(exp, dom, kind, quantity):
     "exponent,domain,kind,quantity,t,kernel,digest",
     [
         ("tempered:0.25,1", "interval:0,1", "sub", "spectral", 1e-6, "_deficit_is_draws",
-         "df04f319742a5a0d2f91b43f56c5beaa5d288bb37fc034db02a135af6e9204e1"),
+         "776a3b470d6b7a2f544a4a87716565ff418321c1ba81e4c7341b06b1dc282cff"),
         ("tempered:0.5,1", "interval:0,1", "sub", "spectral", 1e-8, "_deficit_is_draws",
          "f3bb9367d04ed13e721f9ad806cc22987d96aa4ac22dce2dad04c058e1813db8"),
         ("mixed:0.25*1+0.5*1", "interval:0,1", "sub", "spectral", 1e-8, "_deficit_is_draws",
-         "726315cee3d3c08198e2e628c7ef0d27c210a15492a49305e4a952d621e5db8f"),
+         "a774f91cb5b6c6d23091deb5d7e47b94be29515e82535b3bbcbee0c62dbce5b0"),
         ("mixed:0.1*1+0.3*2", "disk:1", "sub", "spectral", 1e-6, "_deficit_is_draws",
-         "a1f46147ba6fc8fe209f5323a4c802b2ff3c770a88e99cbc1d6578da073a51cc"),
+         "73ec900960188d6d64da795f30169577c48d2a8e47a877626e353542e7989745"),
         ("tempered:0.5,1", "interval:0,1", "inv", "spectral", 1e-3, "_duality_kernel",
          "881cb3c9e1359ff190170f0c899e1282afdd0baf7527a924c61761f2a5c8c37d"),
         ("tempered:0.5,1", "interval:0,1", "inv", "regular", 1e-3, "_duality_kernel",
@@ -255,6 +255,16 @@ def test_spectral_subordinate_near_index_one_matches_series():
     # read the full deficit when they were capped at 1e300
     exp = Stable(0.999)
     est = estimate_spectral_subordinate(exp, UNIT, 1e-3, 262_144, RandomStream(3))
+    series, tail = subordinate_deficit_series(UNIT, exp, 1e-3)
+    assert abs(est.deficit - series) <= 4.0 * est.stderr + tail
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tiny_index_mixed_deficit_matches_series(seed):
+    # a 2^-7 component puts (A/E)^127 past double range where t^128 is
+    # below it; a nan draw would score no deficit and bias the estimate low
+    exp = MixedStable(((2.0**-7, 1.0), (0.6, 1.0)))
+    est = estimate(TimeChangeSpec(exp, Kind.SUBORDINATOR), UNIT, 1e-3, 2**18, RandomStream(seed), "spectral")
     series, tail = subordinate_deficit_series(UNIT, exp, 1e-3)
     assert abs(est.deficit - series) <= 4.0 * est.stderr + tail
 

@@ -186,12 +186,12 @@ def _grid_walk(exp, t, h, seed, n):
         # t theta^b = 0.3: one tilt chunk per value
         (
             lambda: sample_tempered(0.5, 1.0, 0.3, RandomStream(41), 5000),
-            "e6ce5712dbbe67f4f56101687987ab7057b03463c77b1e038fae5e097732db09",
+            "4a142489d13ce98d1f75ecfc5e41c046b063a077c945bfb77bc3802dfa1d6c09",
         ),
         # t theta^b = 40: forty chunks per value
         (
             lambda: sample_tempered(0.5, 1.0, 40.0, RandomStream(42), 2000),
-            "78a7940f0864771360caa3b2852eea0d0563052cde46f6acd107e96985dbcb39",
+            "1bdf9d5f91a77f03ff51a01273e2a742db05bbae6d570ded4184ffe2071d3218",
         ),
         # h theta^b = 1e-3: rows of 500 walk increments accepted whole
         (
@@ -214,23 +214,50 @@ def test_tempered_draws_keep_their_bits(draw, digest):
 
 
 def test_kanter_draws_stay_finite_near_index_one():
-    # at b = 0.999 the power 1/(1-b) of the Kanter ratio overflows for 0.1%
-    # of draws; S_1 and E_1 come from the ratio itself there, and every
-    # draw whose A/E is finite keeps the plain form
+    # at b = 0.999 the power 1/(1-b) of the Kanter ratio would leave double
+    # range for 0.1% of draws; S_1 and E_1 take one power of a product of
+    # the ratio instead, so every draw stays finite
     beta, n = 0.999, 262_144
     s = sample_stable(beta, 1.0, RandomStream(3), n)
     e = sample_inverse(TimeChangeSpec(Stable(beta), Kind.INVERSE), 1.0, RandomStream(3), n)
     assert np.all(s < 1e300) and np.all(s > 0.0)
     assert np.all(e > 0.0) and np.all(np.isfinite(e))
-    ratio, x = samplers._kanter_variates(beta, RandomStream(3), n)
-    with np.errstate(over="ignore"):
-        a = ratio ** (1.0 / (1.0 - beta))
-        plain = np.isfinite(a / x)
-    assert 0 < np.count_nonzero(~plain) < n // 500
-    assert np.array_equal(s[plain], (a[plain] / x[plain]) ** ((1.0 - beta) / beta))
     for p in (0.5, 1.0):
         mean, se = _mean_se(e**p)
         assert abs(mean - inverse_moment(beta, p)) <= 4.0 * se
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is double here")
+def test_kanter_stable_matches_a_long_double_reference():
+    # S_t against exp((log t + log rho - (1-b) log E) / b) in long double from
+    # the same Kanter ratio rho and exponential E, wherever S_t is a normal
+    # double below the 1e300 cap: the one power of one product loses no more
+    # than rounding, from b = 2^-7 to b = 0.999 and t = 1e-100 to 1e6
+    tiny = np.finfo(float).tiny
+    for beta in (2.0**-7, 0.05, 0.25, 0.5, 0.75, 0.99, 0.999):
+        ratio, e = samplers._kanter_variates(beta, RandomStream(5), 65_536)
+        log_rho_e = np.log(ratio.astype(np.longdouble)) - (1.0 - beta) * np.log(e.astype(np.longdouble))
+        checked = 0
+        for t in (1e-100, 1e-10, 1.0, 1e6):
+            s = samplers._kanter_stable(beta, t, ratio.copy(), e)
+            ref = np.exp((np.log(np.longdouble(t)) + log_rho_e) / beta)
+            normal = (ref >= tiny) & (ref < 1e300)
+            err = np.abs(s[normal] - ref[normal]) / ref[normal]
+            assert float(err.max(initial=0.0)) <= 1e-13, (beta, t, float(err.max()))
+            checked += np.count_nonzero(normal)
+        assert checked > 0, beta
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e6])
+def test_tiny_index_stable_draws_stay_in_range(t):
+    # at b = 2^-7, (A/E)^127 overflows where t^128 underflows, and t^128
+    # overflows at t = 1e6, so S_t and E_t hold only if neither power is
+    # taken on its own
+    beta, n = 2.0**-7, 2**18
+    s = sample_subordinator(Stable(beta), t, RandomStream(7), n)
+    assert not np.isnan(s).any()
+    e = sample_inverse(TimeChangeSpec(Stable(beta), Kind.INVERSE), t, RandomStream(7), n)
+    assert np.all(np.isfinite(e)) and np.all(e > 0.0)
 
 
 def test_inverse_runaway_guard():
