@@ -101,7 +101,7 @@ def leading_index(exp: LaplaceExponent) -> float:
 
 def _positive(x, message: str):
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
+    if (x_arr <= 0.0).any():
         raise ValueError(message)
     return x_arr
 

@@ -257,7 +257,8 @@ def run_blocks(kernel, args, n, stream, workers=1):
     if n < 1:
         raise ValueError(f"need at least 1 path, got {n}")
     tasks = [(kernel, args, stream, lo, min(BLOCK, n - lo), n) for lo in range(0, n, BLOCK)]
-    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         try:
             parts = list(_worker_pool(workers).map(_block_moments, tasks))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import gamma, ndtr
 
 from subheat import (
     Disk,
@@ -17,6 +18,7 @@ from subheat import (
     exact_deficit_rate_disk,
     exact_H_interval,
     exact_Q_interval,
+    inverse_reference,
     kanter_angle,
     parse_domain,
     subordinate_deficit_series,
@@ -402,3 +404,81 @@ def test_disk_survival_accepts_per_path_clocks():
     a = disk_survival_block(1.0, u, RandomStream(5), strat_index=0, strat_total=2048, n=2048)
     b = disk_survival_block(1.0, 0.01, RandomStream(5), strat_index=0, strat_total=2048, n=2048)
     assert np.allclose(a, b)
+
+
+def _inverse_mpmath(mpmath, exp, dom, t, quantity):
+    """E f(E_t) by mpmath's Talbot inversion of (phi(s)/s) f^(phi(s)), with
+    f^ written out in mpmath from its closed form."""
+
+    def transform(s):
+        p = sum(w * s**b for b, w in exp.components)
+        if isinstance(dom, Disk):
+            z = dom.radius * mpmath.sqrt(p)
+            fhat = 2 * mpmath.pi * dom.radius * mpmath.besseli(1, z) / mpmath.besseli(0, z)
+        elif quantity == "spectral":
+            fhat = 2 * mpmath.tanh(dom.length * mpmath.sqrt(p) / 2)
+        else:
+            fhat = -mpmath.expm1(-dom.length * mpmath.sqrt(p))
+        return fhat / (s * mpmath.sqrt(p))
+
+    return float(mpmath.invertlaplace(transform, t, method="talbot"))
+
+
+@pytest.mark.parametrize("t", [1e-8, 1e-3, 1.0])
+@pytest.mark.parametrize("b", [0.25, 0.5, 0.75])
+def test_inverse_reference_meets_mpmath(b, t):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for dom, quantity in ((UNIT, "spectral"), (UNIT, "regular"), (Disk(1.0), "spectral")):
+        got = inverse_reference(Stable(b), dom, t, quantity)
+        want = _inverse_mpmath(mpmath, Stable(b), dom, t, quantity)
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0), (dom, quantity)
+
+
+def test_inverse_reference_meets_mpmath_for_a_mixed_clock():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    exp = MixedStable(((0.25, 1.0), (0.5, 1.0)))
+    for dom in (UNIT, Disk(2.0)):
+        got = inverse_reference(exp, dom, 1e-3)
+        assert got == pytest.approx(_inverse_mpmath(mpmath, exp, dom, 1e-3, "spectral"), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-300])
+@pytest.mark.parametrize("b", [0.25, 0.5, 0.75])
+def test_inverse_reference_meets_the_flat_boundary_law_at_depth(b, t):
+    # deep in small time the interval loses 4 sqrt(u/pi) and H half that, and
+    # E E_t^(1/2) = t^(b/2) Gamma(3/2)/Gamma(1 + b/2) under phi(s) = s^b
+    flat = 2.0 * t ** (b / 2.0) / gamma(1.0 + b / 2.0)
+    assert inverse_reference(Stable(b), UNIT, t) == pytest.approx(flat, rel=1e-12, abs=0.0)
+    assert inverse_reference(Stable(b), UNIT, t, "regular") == pytest.approx(flat / 2.0, rel=1e-12, abs=0.0)
+
+
+def test_inverse_reference_refuses_what_it_cannot_invert():
+    with pytest.raises(ValueError, match="untempered"):
+        inverse_reference(TemperedStable(0.5, 1.0), UNIT, 1e-3)
+    with pytest.raises(ValueError, match="positive and finite"):
+        inverse_reference(Stable(0.5), UNIT, 0.0)
+    with pytest.raises(ValueError, match="regular"):
+        inverse_reference(Stable(0.5), Disk(1.0), 1e-3, "regular")
+
+
+_BETAS = st.floats(1e-3, 0.999)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    comps=st.lists(
+        st.tuples(_BETAS, st.floats(-2.0, 2.0).map(lambda x: 10.0**x)), min_size=1, max_size=3, unique_by=lambda c: c[0]
+    ),
+    size=st.floats(-2.0, 2.0).map(lambda x: 10.0**x),
+    disk=st.booleans(),
+    quantity=st.sampled_from(["spectral", "regular"]),
+    t=st.floats(-12.0, 1.0).map(lambda x: 10.0**x),
+)
+def test_inverse_reference_is_finite_over_the_grammar(comps, size, disk, quantity, t):
+    # the indexes, weights, sizes and times of the CLI grammar's property test
+    dom = Disk(size) if disk else Interval(0.0, size)
+    value = inverse_reference(MixedStable(tuple(sorted(comps))), dom, t, "spectral" if disk else quantity)
+    assert math.isfinite(value)
+    assert -1e-9 * dom.volume <= value <= (1.0 + 1e-9) * dom.volume
