@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .asymptotics import (
-    band_verdict, expansion, fit_rate, inverse_moment, predict, small_time_rate, stable_moment, verdict,
+    LadderReport, band_verdict, expansion, fit_rate, inverse_moment, predict, small_time_rate, stable_moment, verdict,
 )
 from .diagnostics import check_inverse_moments, check_levy_convergence, check_small_ball
 from .estimators import estimate
@@ -93,15 +93,6 @@ class RunConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    target: float
-    achieved: float
-    tolerance: float
-    passed: bool
-
-
 def _g(x) -> str:
     return _FMT % float(x)
 
@@ -125,22 +116,27 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected one of 1/true/yes/on or 0/false/no/off, got {text!r}") from None
 
 
+_TABLES = ("predict", "estimate")  # the commands that print a table
+_RUNS = ("estimate", "verify")  # the commands that draw paths
+
 # each setting once: config key (the flag is --key) -> (RunConfig field,
-# parser of its text, help)
+# parser of its text, the commands that offer the flag, help); a config file
+# may set any key for any command, so that one file serves all three.  A
+# boolean key's flag takes no value.
 _KEYS = {
-    "exponent": ("exponent", str, "stable:<b> | tempered:<b>,<theta> | mixed:<b1>*<w1>+<b2>*<w2>+..."),
-    "domain": ("domain", str, "interval:<a>,<b> | disk:<R>"),
-    "time-change": ("time_change", str, "sub | inv"),
-    "t": ("t_ladder", float, "one time, the same as a one-rung --t-ladder"),
-    "t-ladder": ("t_ladder", _parse_ladder, "strictly decreasing times, comma-separated"),
-    "paths": ("paths", int, "Monte Carlo paths per estimate"),
-    "seed": ("seed", int, "seed of the counter-based stream"),
-    "workers": ("workers", int, "processes for the Monte Carlo blocks"),
-    "format": ("fmt", str, "csv | json"),
-    "out": ("out", str, "write the output to this file instead of stdout"),
-    "suite": ("suite", str, "suite name or 'all'"),
-    "quick": ("quick", _parse_bool, "reduced path counts"),
-    "tolerance": ("tolerance", float, "relative band of the six limit suites' checks; the other suites ignore it"),
+    "exponent": ("exponent", str, _TABLES, "stable:<b> | tempered:<b>,<theta> | mixed:<b1>*<w1>+<b2>*<w2>+..."),
+    "domain": ("domain", str, _TABLES, "interval:<a>,<b> | disk:<R>"),
+    "time-change": ("time_change", str, _TABLES, "sub | inv"),
+    "t": ("t_ladder", float, ("estimate",), "one time, the same as a one-rung --t-ladder"),
+    "t-ladder": ("t_ladder", _parse_ladder, ("estimate",), "strictly decreasing times, comma-separated"),
+    "paths": ("paths", int, ("estimate",), "Monte Carlo paths per estimate"),
+    "seed": ("seed", int, _RUNS, "seed of the counter-based stream"),
+    "workers": ("workers", int, _RUNS, "processes for the Monte Carlo blocks"),
+    "format": ("fmt", str, _TABLES, "csv | json"),
+    "out": ("out", str, _TABLES + ("verify",), "write the output to this file instead of stdout"),
+    "suite": ("suite", str, ("verify",), "suite name or 'all'"),
+    "quick": ("quick", _parse_bool, ("verify",), "reduced path counts"),
+    "tolerance": ("tolerance", float, ("verify",), "relative band of the six limit suites' checks; others ignore it"),
 }
 
 
@@ -168,7 +164,7 @@ def _level(values: dict) -> dict:
     as {RunConfig field: value}, each text read by its key's parser; t -> (t,)."""
     out = {}
     for key, val in values.items():
-        field, parse, _ = _KEYS[key]
+        field, parse, _, _ = _KEYS[key]
         if field in out:  # only --t and --t-ladder share a field
             raise ValueError("give --t or --t-ladder, not both")
         val = parse(val) if isinstance(val, str) else val  # verify's --quick flag comes as True
@@ -270,13 +266,12 @@ def _suite_stream(cfg: RunConfig, index: int) -> RandomStream:
     return RandomStream(cfg.seed, (index + 1) * 2**48)
 
 
-def _result(name, report) -> CheckResult:
-    """A named check of a LadderReport's verdict."""
-    return CheckResult(name, report.target, report.achieved, report.tolerance, report.passed)
+# a suite's checks, each a name and its verdict
+_Checks = list[tuple[str, LadderReport]]
 
 
 def _check(name, target, achieved, tol):
-    return _result(name, verdict((), target, achieved, tol))
+    return name, verdict((), target, achieved, tol)
 
 
 def _band(cfg, rel):
@@ -292,15 +287,15 @@ def _limit_check(cfg, name, spec, t, n, stream, rel, quantity=SPECTRAL, extra_to
     est = estimate(spec, _UNIT, t, n, stream, quantity.name, workers=cfg.workers)
     rate = float(pred.rate(t))
     ratio = est.deficit / rate
-    return _result(name, band_verdict((), pred.constant, ratio, est.stderr, _band(cfg, rel), extra_tol_se, rate))
+    return name, band_verdict((), pred.constant, ratio, est.stderr, _band(cfg, rel), extra_tol_se, rate)
 
 
 def _sample_mean_check(name, x, target):
     se = float(x.std(ddof=1)) / math.sqrt(x.size)
-    return _result(name, band_verdict((), target, float(x.mean()), se, 0.0))
+    return name, band_verdict((), target, float(x.mean()), se, 0.0)
 
 
-def _suite_highindex(cfg: RunConfig) -> list[CheckResult]:
+def _suite_highindex(cfg: RunConfig) -> _Checks:
     n = 200_000 if cfg.quick else 1_000_000
     spec = TimeChangeSpec(Stable(0.75), Kind.SUBORDINATOR)
     return [_limit_check(cfg, "highindex-ratio", spec, 1e-8, n, _suite_stream(cfg, 1), 0.03)]
@@ -320,15 +315,15 @@ def _critical_ladder(cfg, exp, n, tag):
         samples.append((t, est.deficit, est.stderr))
     fit = fit_rate(samples, pred, _band(cfg, 0.10))
     monotone = all(a > b for (_, a, _), (_, b, _) in zip(fit.points, fit.points[1:]))
-    return [_check(f"{tag}-monotone", 1.0, float(monotone), 0.0), _result(f"{tag}-final", fit)]
+    return [_check(f"{tag}-monotone", 1.0, float(monotone), 0.0), (f"{tag}-final", fit)]
 
 
-def _suite_critical(cfg: RunConfig) -> list[CheckResult]:
+def _suite_critical(cfg: RunConfig) -> _Checks:
     n = 150_000 if cfg.quick else 800_000
     return _critical_ladder(cfg, Stable(0.5), n, "critical")
 
 
-def _suite_mixed_critical(cfg: RunConfig) -> list[CheckResult]:
+def _suite_mixed_critical(cfg: RunConfig) -> _Checks:
     # The exact mixed ratio at t = 1e-10 is 1.40893, 0.6% outside the 10%
     # band (which ends at 1.40057), so only the extrapolated limit can pass.
     # The extrapolation r1 + 4 (r1 - r0) multiplies the last rung's error by
@@ -339,13 +334,13 @@ def _suite_mixed_critical(cfg: RunConfig) -> list[CheckResult]:
     return _critical_ladder(cfg, exp, n, "mixed-critical")
 
 
-def _suite_lowindex(cfg: RunConfig) -> list[CheckResult]:
+def _suite_lowindex(cfg: RunConfig) -> _Checks:
     n = 200_000 if cfg.quick else 1_000_000
     spec = TimeChangeSpec(Stable(0.25), Kind.SUBORDINATOR)
     return [_limit_check(cfg, "lowindex-ratio", spec, 1e-6, n, _suite_stream(cfg, 3), 0.02)]
 
 
-def _suite_inverse(cfg: RunConfig) -> list[CheckResult]:
+def _suite_inverse(cfg: RunConfig) -> _Checks:
     n = 100_000 if cfg.quick else 400_000
     # spectral rows from key i 2^20, regular ones from i 2^20 + 2^19
     offsets = [i * 2**20 + q * 2**19 for i in range(3) for q in range(2)]
@@ -359,7 +354,7 @@ def _suite_inverse(cfg: RunConfig) -> list[CheckResult]:
     ]
 
 
-def _suite_inverse_universality(cfg: RunConfig) -> list[CheckResult]:
+def _suite_inverse_universality(cfg: RunConfig) -> _Checks:
     # the criterion names the grid sampler, so the step is set explicitly:
     # without it a tempered clock this deep takes the duality estimator
     t = 1e-5
@@ -368,18 +363,16 @@ def _suite_inverse_universality(cfg: RunConfig) -> list[CheckResult]:
     return [_limit_check(cfg, "universality-ratio", spec, t, n, _suite_stream(cfg, 6), 0.05, extra_tol_se=0.0)]
 
 
-def _suite_expansion(cfg: RunConfig) -> list[CheckResult]:
-    out = []
+def _suite_expansion(cfg: RunConfig) -> _Checks:
     worst = 0.0
     for beta in np.linspace(0.05, 0.95, 19):
         got = expansion(beta, [4.0 / math.sqrt(math.pi)])[0][0]
         want = 2.0 / gamma_fn(1.0 + beta / 2.0)
         worst = max(worst, abs(got - want) / want)
-    out.append(_check("expansion-identity", 0.0, worst, 1e-12))
-    return out
+    return [_check("expansion-identity", 0.0, worst, 1e-12)]
 
 
-def _suite_moments(cfg: RunConfig) -> list[CheckResult]:
+def _suite_moments(cfg: RunConfig) -> _Checks:
     n = 200_000 if cfg.quick else 1_000_000
     out = []
     stream = _suite_stream(cfg, 8)
@@ -397,35 +390,33 @@ def _suite_moments(cfg: RunConfig) -> list[CheckResult]:
         target = inverse_moment(beta, p)
         out.append(_sample_mean_check(f"inverse-moment-b{beta:g}-p{p:g}", e**p, target))
     report = check_inverse_moments(Stable(0.5), 0.5, (1e-1, 1e-3, 1e-6), n // 2, keys[6])
-    out.append(_result("inverse-moment-t-independence", report))
+    out.append(("inverse-moment-t-independence", report))
     return out
 
 
-def _suite_levy(cfg: RunConfig) -> list[CheckResult]:
+def _suite_levy(cfg: RunConfig) -> _Checks:
     n = 100_000 if cfg.quick else 400_000
     report = check_levy_convergence(
         Stable(0.25), "power-exp:0.5", (1e-2, 1e-3, 1e-4), n, _suite_stream(cfg, 9)
     )
-    return [_result("levy-final", report)]
+    return [("levy-final", report)]
 
 
-def _suite_small_ball(cfg: RunConfig) -> list[CheckResult]:
+def _suite_small_ball(cfg: RunConfig) -> _Checks:
     n = 100_000 if cfg.quick else 400_000
     ladder = tuple(np.geomspace(1e-2, 1e-4, 5))
     keys = samplers.disjoint_spawns(_suite_stream(cfg, 10), [0, 2**20], n)
     return [
-        _result(f"small-ball-b{beta:g}", check_small_ball(Stable(beta), 1.0, ladder, n, key))
+        (f"small-ball-b{beta:g}", check_small_ball(Stable(beta), 1.0, ladder, n, key))
         for beta, key in zip((0.25, 0.5), keys)
     ]
 
 
 def _bridge_walk_kernel(u, stream, lo, size, n):
-    return interval_survival_block(
-        1.0, u, stream, strat_index=lo, strat_total=n, n=size, n_steps=128
-    )
+    return interval_survival_block(1.0, u, stream, strat_index=lo, strat_total=n, n=size, n_steps=128)
 
 
-def _suite_oracle(cfg: RunConfig) -> list[CheckResult]:
+def _suite_oracle(cfg: RunConfig) -> _Checks:
     out = []
     u_star = _UNIT.length ** 2 / 10.0
     q_lo = exact_Q_interval(_UNIT, u_star * (1.0 - 1e-13))
@@ -457,7 +448,7 @@ def _suite_oracle(cfg: RunConfig) -> list[CheckResult]:
     return out
 
 
-def _suite_determinism(cfg: RunConfig) -> list[CheckResult]:
+def _suite_determinism(cfg: RunConfig) -> _Checks:
     base = RunConfig(
         exponent="stable:0.75",
         domain="interval:0,1",
@@ -495,42 +486,39 @@ def _canonical_suite(name: str) -> str:
     return canon
 
 
-def run_suite(name: str, cfg: RunConfig) -> list[CheckResult]:
-    """Run one named verification suite and return its check results."""
+def run_suite(name: str, cfg: RunConfig) -> _Checks:
+    """Run one named verification suite, by its name or an alias, and return
+    its checks, each a name and its LadderReport."""
     return _SUITES[_canonical_suite(name)](cfg)
+
+
+def _verdict_fields(report: LadderReport) -> dict:
+    """A verdict's target, achieved value and tolerance, as verify prints them."""
+    return {"target": float(report.target), "achieved": float(report.achieved), "tolerance": float(report.tolerance)}
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[int, str]:
     names = list(_SUITES) if cfg.suite in (None, "all") else [_canonical_suite(cfg.suite)]
     suites_out = []
-    all_pass = True
     for name in names:
         start = time.perf_counter()
-        checks = _SUITES[name](cfg)
+        checks = run_suite(name, cfg)
         elapsed = time.perf_counter() - start
-        passed = all(c.passed for c in checks)
-        all_pass = all_pass and passed
-        head = next((c for c in checks if not c.passed), checks[-1])
+        passed = all(report.passed for _, report in checks)
+        head = next((report for _, report in checks if not report.passed), checks[-1][1])
         suites_out.append(
             {
                 "suite": name,
                 "passed": bool(passed),
                 "runtime_s": round(elapsed, 3),
-                "target": float(head.target),
-                "achieved": float(head.achieved),
-                "tolerance": float(head.tolerance),
+                **_verdict_fields(head),
                 "checks": [
-                    {
-                        "name": c.name,
-                        "target": float(c.target),
-                        "achieved": float(c.achieved),
-                        "tolerance": float(c.tolerance),
-                        "passed": bool(c.passed),
-                    }
-                    for c in checks
+                    {"name": check, **_verdict_fields(report), "passed": bool(report.passed)}
+                    for check, report in checks
                 ],
             }
         )
+    all_pass = all(suite["passed"] for suite in suites_out)
     payload = {"passed": all_pass, "seed": cfg.seed, "quick": cfg.quick, "suites": suites_out}
     return (0 if all_pass else 1), json.dumps(payload, indent=2) + "\n"
 
@@ -542,13 +530,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("predict", "estimate", "verify"):
-        p = sub.add_parser(name)
-        for key, (_, _, text) in _KEYS.items():
-            if key == "quick" and name == "verify":
-                p.add_argument("--quick", action="store_true", default=None, help=text)
-            elif name == "verify" or key not in ("suite", "quick"):
-                p.add_argument(f"--{key}", help=text)
-        p.add_argument("--config", help="flat key=value file; flags take precedence")
+        # no prefix stands for a flag: predict --t is refused, not read as --time-change
+        p = sub.add_parser(name, allow_abbrev=False)
+        for key, (_, parse, commands, text) in _KEYS.items():
+            if name in commands:
+                flag = {"action": "store_true", "default": None} if parse is _parse_bool else {}
+                p.add_argument(f"--{key}", help=text, **flag)
+        p.add_argument("--config", help="flat key=value file of any keys; flags take precedence")
     return parser
 
 

@@ -122,6 +122,9 @@ def check_levy_convergence(exp, f_tag: str, t_ladder, n: int, stream: RandomStre
     has a usable relative error even when the support of f is a rare event for
     D_t; other exponents use plain draws and lean on the 4-stderr branch of
     the pass rule, the last rung within the larger of that and 2%.
+    The proposal's clock cap is 60, and a stable rung (b, t) where t^(1/b),
+    s = 60/t^(1/b) or s^(b/(1-b)) is more than 1e300 from 1 raises ValueError:
+    at b = 0.99, every t <= 0.05.
     """
     beta = leading_index(exp)
     f = _test_function(f_tag, beta)

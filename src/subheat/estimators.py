@@ -48,7 +48,6 @@ them.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -73,10 +72,12 @@ def _is_saturation(beta, t, u_cap):
 
     In Kanter form D_t = t^(1/b) (A/e)^((1-b)/b) passes u_cap = s_cap t^(1/b)
     only for e below e_sat = A(0+) s_cap^(-b/(1-b)) or so: a rare event, which
-    the importance proposal targets while e_sat is below _is_switch(b).  The
-    proposal's angle grows like s_cap^(b/(1-b)), which must stay within 1e300
-    of 1 too; it can leave that range only for b > 1/2, where no estimate
-    takes this route.
+    the importance proposal targets while e_sat is below _is_switch(b).  u_cap
+    is the proposal's clock cap, a domain's saturation clock or 60 in
+    check_levy_convergence.  The proposal's angle grows like s_cap^(b/(1-b)),
+    which must stay within 1e300 of 1 too; near b = 1 it leaves that range
+    first, and check_levy_convergence, which takes this route for every
+    stable clock, is refused there: at b = 0.99 for t <= 0.05.
     """
     log_scale = math.log(t) / beta
     log_cap = math.log(u_cap) - log_scale
@@ -84,7 +85,7 @@ def _is_saturation(beta, t, u_cap):
         raise ValueError(
             f"clock time {t:g} is out of range for importance sampling at index {beta:g}: "
             f"the clock scale t^(1/b) = e^{log_scale:g} must lie within 1e300 of 1 and of "
-            f"the deficit's time scale pi L^2/4 = {u_cap:g}, and their ratio "
+            f"the proposal's clock cap u_cap = {u_cap:g}, and their ratio "
             f"s = e^{log_cap:g} must have s^(b/(1-b)) within 1e300 of 1"
         )
     s_cap = u_cap / t ** (1.0 / beta)
@@ -315,12 +316,11 @@ def estimate(spec, dom, t, n, stream, quantity="spectral", *, workers=1):
         raise ValueError(f"t must be positive and finite, got {t}")
     if n < 2:
         raise ValueError("need at least 2 paths")
-    start = time.perf_counter()
     kernel, args, offset = _clock_kernel(spec, dom, t, quantity)
     mean, se = run_blocks(kernel, args, n, stream, workers)
     deficit = min(max(mean + offset, 0.0), dom.volume)
     value = dom.volume - deficit if QUANTITIES[quantity].complement else deficit
-    return Estimate(value, deficit, se, n, stream.seed, time.perf_counter() - start)
+    return Estimate(value, deficit, se, n)
 
 
 def estimate_spectral_subordinate(exp, dom, t, n, stream, *, workers=1):

@@ -28,16 +28,16 @@ The disk of radius R loses R^2 D(u/R^2), D being the unit disk's deficit:
 below s = 0.01 its short-time expansion 4 sqrt(pi s) - pi s - (sqrt(pi)/3)
 s^(3/2) - ... (van den Berg & Le Gall 1994), a polynomial in sqrt(s) with
 coefficients from Hankel's expansion of I1/I0; above it pi less 20 J0 modes.
-An Euler walk with a Brownian-bridge boundary-crossing correction, which the
-estimators no longer use, stays as an independent Monte Carlo cross-check of
-the disk oracle (mc_Q_disk).
+One Euler walk with a Brownian-bridge boundary-crossing correction,
+_bridge_survival, serves both domains, each giving only its start points and
+boundary distances; no estimator uses it, and it stays as an independent
+Monte Carlo cross-check of the oracles (mc_Q_disk, bridge-walk-vs-oracle).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -446,77 +446,56 @@ def parse_domain(text: str) -> Domain:
     raise ValueError(f"unknown domain kind {head!r}")
 
 
+def _bridge_survival(x, distances, u, stream: RandomStream, n_steps: int):
+    """Per-path survival probabilities of Brownian motion started at the rows
+    of x and killed on a boundary; distances(x) gives one array of signed
+    distances per piece of the boundary, positive inside.  Each of n_steps
+    steps of h = u/n_steps (u a scalar clock or one per path) multiplies the
+    survival by the product over the pieces of 1 - p: p = e^(-d1 d2 / h), the
+    bridge crossing probability, or 1 where the step ends outside."""
+    n = x.shape[0]
+    h = np.maximum(np.broadcast_to(np.asarray(u, dtype=float), (n,)) / n_steps, 1e-300)
+    scale = np.sqrt(2.0 * h)[:, None]
+    d_prev = distances(x)
+    surv = np.ones(n)
+    for _ in range(n_steps):
+        x = x + scale * stream.normals(x.shape)
+        d_next = distances(x)
+        step = None  # the product of the pieces' 1 - p, which surv takes once
+        for before, after in zip(d_prev, d_next):
+            q = 1.0 - np.where(after <= 0.0, 1.0, np.exp(-np.maximum(before, 0.0) * after / h))
+            step = q if step is None else step * q
+        surv *= step
+        d_prev = d_next
+        if not np.any(surv > 1e-16):
+            break
+    return surv
+
+
 def disk_survival_block(
-    R: float,
-    u,
-    stream: RandomStream,
-    *,
-    strat_index: int,
-    strat_total: int,
-    n: int,
-    n_steps: int = 64,
+    R: float, u, stream: RandomStream, *, strat_index: int, strat_total: int, n: int, n_steps: int = 64
 ):
     """Per-path survival probabilities for Brownian motion killed on the circle,
     a Monte Carlo cross-check of exact_deficit_disk that no estimator uses.
 
     Paths start on stratified radii (area-uniform over the disk, stratified by
-    global path index), take n_steps Euler steps of duration u/n_steps, and
-    accumulate the Brownian-bridge crossing correction e^(-d1 d2 / h) per step.
-    u may be a scalar clock or one clock per path.
+    global path index) and walk by _bridge_survival.
     """
-    u_arr = np.broadcast_to(np.asarray(u, dtype=float), (n,))
-    h = np.maximum(u_arr / n_steps, 1e-300)
     idx = np.arange(strat_index, strat_index + n, dtype=float)
-    r = R * np.sqrt((idx + stream.uniforms(n)) / strat_total)
     x = np.zeros((n, 2))
-    x[:, 0] = r
-    d_prev = R - r
-    surv = np.ones(n)
-    scale = np.sqrt(2.0 * h)[:, None]
-    for _ in range(n_steps):
-        x += scale * stream.normals((n, 2))
-        dist = R - np.hypot(x[:, 0], x[:, 1])
-        p_cross = np.where(dist <= 0.0, 1.0, np.exp(-np.maximum(d_prev, 0.0) * dist / h))
-        surv *= 1.0 - p_cross
-        d_prev = dist
-        if not np.any(surv > 1e-16):
-            break
-    return surv
+    x[:, 0] = R * np.sqrt((idx + stream.uniforms(n)) / strat_total)
+    return _bridge_survival(x, lambda x: (R - np.hypot(x[:, 0], x[:, 1]),), u, stream, n_steps)
 
 
 def interval_survival_block(
-    L: float,
-    u,
-    stream: RandomStream,
-    *,
-    strat_index: int,
-    strat_total: int,
-    n: int,
-    n_steps: int = 64,
+    L: float, u, stream: RandomStream, *, strat_index: int, strat_total: int, n: int, n_steps: int = 64
 ):
-    """Interval counterpart of disk_survival_block (both ends kill).
-
-    Validates the bridge-corrected walk against the exact oracle and feeds the
-    variance comparison between path estimators and conditional ones.
-    """
-    u_arr = np.broadcast_to(np.asarray(u, dtype=float), (n,))
-    h = np.maximum(u_arr / n_steps, 1e-300)
+    """Interval counterpart of disk_survival_block, killed at both ends, which
+    the oracle-integrity suite's bridge-walk-vs-oracle check runs against the
+    exact oracle.  Paths start at stratified points of (0, L)."""
     idx = np.arange(strat_index, strat_index + n, dtype=float)
-    x = L * (idx + stream.uniforms(n)) / strat_total
-    dl_prev = x
-    dr_prev = L - x
-    surv = np.ones(n)
-    scale = np.sqrt(2.0 * h)
-    for _ in range(n_steps):
-        x = x + scale * stream.normals(n)
-        dl, dr = x, L - x
-        pl = np.where(dl <= 0.0, 1.0, np.exp(-np.maximum(dl_prev, 0.0) * dl / h))
-        pr = np.where(dr <= 0.0, 1.0, np.exp(-np.maximum(dr_prev, 0.0) * dr / h))
-        surv *= (1.0 - pl) * (1.0 - pr)
-        dl_prev, dr_prev = dl, dr
-        if not np.any(surv > 1e-16):
-            break
-    return surv
+    x = (L * (idx + stream.uniforms(n)) / strat_total).reshape(n, 1)
+    return _bridge_survival(x, lambda x: (x[:, 0], L - x[:, 0]), u, stream, n_steps)
 
 
 def subordinate_deficit_series(dom: Interval, exp, t: float, kmax: int = 6_000_000):
@@ -599,15 +578,12 @@ def inverse_reference(exp, dom: Domain, t: float, quantity: str = "spectral") ->
 def _disk_content_kernel(args, stream, lo, size, n):
     # u is a scalar clock or one clock per path of the block
     dom, u = args
-    return dom.volume * disk_survival_block(
-        dom.radius, u, stream, strat_index=lo, strat_total=n, n=size
-    )
+    return dom.volume * disk_survival_block(dom.radius, u, stream, strat_index=lo, strat_total=n, n=size)
 
 
 def mc_Q_disk(dom: Disk, u: float, n_paths: int, stream: RandomStream):
     """Monte Carlo heat content of the disk at clock u; returns an Estimate."""
     if not u > 0.0:
         raise ValueError("time must be positive")
-    start = time.perf_counter()
     value, stderr = run_blocks(_disk_content_kernel, (dom, u), n_paths, stream)
-    return Estimate(value, dom.volume - value, stderr, n_paths, stream.seed, time.perf_counter() - start)
+    return Estimate(value, dom.volume - value, stderr, n_paths)

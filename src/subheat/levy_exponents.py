@@ -7,9 +7,9 @@ tempering rate `theta` (0 unless tempered), so that
 
     phi(s) = sum_i w_i * ((s + theta)**b_i - theta**b_i).
 
-phi, its derivative and inverse, the Levy density and tail mass, and the
-small-time regime classification driven by the leading index are each one
-formula over that view.
+phi, its derivative and inverse, the Levy density and the small-time
+regime classification driven by the leading index are each one formula over
+that view.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn, gammaincc
+from scipy.special import gamma as _gamma_fn
 
 
 @dataclass(frozen=True)
@@ -185,52 +185,6 @@ def levy_density(exp: LaplaceExponent, u):
     if exp.theta > 0.0:
         out = out * np.exp(-exp.theta * u_arr)
     return _shaped_like(u, out)
-
-
-def _upper_gamma_negative(a: float, x: float, max_iter: int = 300) -> float:
-    """Upper incomplete Gamma(a, x) for a < 0, x > 0 by Lentz's continued
-    fraction; accurate for x of order 1 and larger."""
-    tiny = 1e-300
-    b0 = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b0
-    h = d
-    for i in range(1, max_iter):
-        an = -i * (i - a)
-        b0 += 2.0
-        d = an * d + b0
-        if abs(d) < tiny:
-            d = tiny
-        c = b0 + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x + a * math.log(x)) * h
-
-
-def _tempered_tail_scalar(beta: float, theta: float, delta: float) -> float:
-    x = theta * delta
-    if x < 3.0:
-        # one integration by parts keeps both terms well scaled for small x
-        return delta ** (-beta) * math.exp(-x) / _gamma_fn(1.0 - beta) - theta**beta * gammaincc(1.0 - beta, x)
-    cb = beta / _gamma_fn(1.0 - beta)
-    return cb * theta**beta * _upper_gamma_negative(-beta, x)
-
-
-def levy_tail(exp: LaplaceExponent, delta):
-    """Tail mass nu([delta, infinity)) for delta > 0 (scalar or array)."""
-    d_arr = _positive(delta, "levy_tail requires delta > 0")
-    th = exp.theta
-    tempered_tail = np.vectorize(_tempered_tail_scalar)
-    out = sum(
-        w * tempered_tail(b, th, d_arr) if th > 0.0 else w * d_arr ** (-b) / _gamma_fn(1.0 - b)
-        for b, w in exp.components
-    )
-    return _shaped_like(delta, out)
 
 
 def regime(exp: LaplaceExponent) -> Regime:

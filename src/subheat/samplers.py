@@ -5,15 +5,14 @@ stream_key), so any draw sequence is reproducible bit-for-bit regardless of
 scheduling. Stable variates use Kanter's representation (exact, no rejection),
 and every stable marginal S_t, plain (_stable_block), from net columns
 (stable_from_uniforms) or from the importance proposal's tail angles
-(kanter_ratio_tail), or a leading component of sample_untempered_below, is
-formed by one function, _kanter_stable, as one power of one product of the
-Kanter ratio A^(1-beta), so no value leaves double range unless S_t does;
-tempered variates, marginals and grid-walk increments alike, go through one
-exponential-tilt rejection loop, _tilted_rows, called by _subordinator_block;
-inverse variates use the exact first-passage identity for stable exponents and
-a grid first-passage walk with conditional bisection refinement otherwise;
-sample_clock picks the subordinator or the inverse sampler by the kind of a
-TimeChangeSpec.
+(kanter_ratio_tail), is formed by one function, _kanter_stable, as one power
+of one product of the Kanter ratio A^(1-beta), so no value leaves double range
+unless S_t does; tempered variates, marginals and grid-walk increments alike,
+go through one exponential-tilt rejection loop, _tilted_rows, called by
+_subordinator_block; inverse variates use the exact first-passage identity for
+stable exponents and a grid first-passage walk with conditional bisection
+refinement otherwise; sample_clock picks the subordinator or the inverse
+sampler by the kind of a TimeChangeSpec.
 sobol_uniforms draws scrambled Sobol nets (Joe-Kuo direction numbers,
 Matousek's linear scramble and a digital shift, all randomness from the
 stream), which the importance-sampled estimator feeds its clock draws with.
@@ -99,8 +98,6 @@ class Estimate:
     deficit: float
     stderr: float
     n_paths: int
-    seed: int
-    wall_time: float
 
 
 # Joe-Kuo (2008) Sobol m-values m_1..m_12 of the first eight dimensions, the
@@ -439,8 +436,9 @@ def _subordinator_block(exp: LaplaceExponent, h: float, stream: RandomStream, sh
     return total
 
 
-def _stable_sum_block(components, t: float, stream: RandomStream, shape):
-    """Sum of independent stable marginals, one per (beta_i, w_i) component."""
+def _stable_sum_block(components, t, stream: RandomStream, shape):
+    """Sum of independent stable marginals, one per (beta_i, w_i) component;
+    t is a time or an array of them, one per value."""
     (b, w), *rest = components
     out = _stable_block(b, w * t, stream, shape)
     for b, w in rest:
@@ -454,7 +452,7 @@ def sample_untempered_below(exp: LaplaceExponent, u, t: float, stream: RandomStr
 
     A component (b, w) in Kanter form is (w u rho / E^(1-b))^(1/b), with
     rho = A(U)^(1-b).  Every component but the last is drawn so, to d, by
-    _kanter_stable.  The last is below r = t - d exactly when E exceeds
+    _stable_sum_block.  The last is below r = t - d exactly when E exceeds
     e* = (w u rho / r^b)^(1/(1-b)), so p = e^-e* (0 where d >= t) and, E
     being memoryless, E = e* + Exp(1) draws it given D < t.  Each is one
     power of a product, as in _kanter_stable, so nothing leaves double range
@@ -463,10 +461,8 @@ def sample_untempered_below(exp: LaplaceExponent, u, t: float, stream: RandomStr
     """
     u = np.asarray(u, dtype=float)
     *rest, (b, w) = exp.components
-    d = 0.0
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
-        for b_i, w_i in rest:
-            d = d + _kanter_stable(b_i, w_i * u, *_kanter_variates(b_i, stream, u.shape))
+        d = _stable_sum_block(rest, u, stream, u.shape) if rest else 0.0
         wu_rho = _kanter_ratio(np.maximum(stream.uniforms(u.shape), _OPEN_EPS), b)
         wu_rho *= u
         wu_rho *= w

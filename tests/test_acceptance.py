@@ -23,10 +23,10 @@ def _run(name, budget_s):
 
 
 def _assert_all(checks):
-    for c in checks:
-        assert c.passed, (
-            f"{c.name}: achieved {c.achieved!r} vs target {c.target!r} "
-            f"(tolerance {c.tolerance!r})"
+    for name, report in checks:
+        assert report.passed, (
+            f"{name}: achieved {report.achieved!r} vs target {report.target!r} "
+            f"(tolerance {report.tolerance!r})"
         )
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from subheat import (
     Disk,
     Kind,
+    LadderReport,
     RandomStream,
     RunawaySamplerError,
     Stable,
@@ -293,22 +294,45 @@ _SAMPLE_VALUES = {
 }
 
 
+# the flags each command reads, and so offers
+_COMMAND_FLAGS = {
+    "predict": {"exponent", "domain", "time-change", "format", "out"},
+    "estimate": {"exponent", "domain", "time-change", "format", "out", "t", "t-ladder", "paths", "seed", "workers"},
+    "verify": {"suite", "quick", "seed", "workers", "tolerance", "out"},
+}
+
+
 @pytest.mark.parametrize("key", list(_KEYS))
 def test_every_option_key_is_a_flag_and_a_config_key(key, tmp_path, monkeypatch):
+    # a flag is offered exactly by the commands that read it; a config key is
+    # valid for every command, since one file may serve all three
     monkeypatch.delenv("SUBHEAT_SEED", raising=False)
     parser = _build_parser()
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key} = {_SAMPLE_VALUES[key]}\n")
     flag = ["--quick"] if key == "quick" else [f"--{key}", _SAMPLE_VALUES[key]]
-    verify_only = key in ("suite", "quick")
-    for command in ("predict", "estimate", "verify"):
-        if verify_only and command != "verify":
+    assert any(key in flags for flags in _COMMAND_FLAGS.values())
+    for command, flags in _COMMAND_FLAGS.items():
+        from_file = _resolve_config(parser.parse_args([command, "--config", str(cfgfile)]))
+        assert from_file != RunConfig()
+        if key not in flags:
             with pytest.raises(SystemExit):
                 parser.parse_args([command, *flag])
             continue
-        from_flag = _resolve_config(parser.parse_args([command, *flag]))
-        from_file = _resolve_config(parser.parse_args([command, "--config", str(cfgfile)]))
-        assert from_flag == from_file != RunConfig()
+        assert _resolve_config(parser.parse_args([command, *flag])) == from_file
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--paths", "10"],
+    ["predict", "--seed", "1"],
+    ["verify", "--paths", "10", "--format", "csv", "--exponent", "stable:0.3"],
+    ["predict", "--seed", "3", "--paths", "5", "--workers", "9", "--tolerance", "0.5"],
+], ids=["verify-paths", "predict-seed", "verify-table-flags", "predict-run-flags"])
+def test_a_flag_its_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,quick", [("off", False), ("No", False), ("0", False), ("ON", True), ("yes", True)])
@@ -557,10 +581,8 @@ def test_exit_4_on_runaway_sampler(monkeypatch, capsys):
 
 
 def test_exit_1_on_failing_suite(monkeypatch, tmp_path):
-    from subheat.cli import CheckResult
-
     def failing(cfg):
-        return [CheckResult("stub", 1.0, 2.0, 0.1, False)]
+        return [("stub", LadderReport((), 1.0, 2.0, 0.1, False))]
 
     monkeypatch.setitem(_SUITES, "stub-fail", failing)
     code, text = _run_main(["verify", "--suite", "stub-fail"], tmp_path, "v.json")
@@ -591,8 +613,9 @@ def test_suite_alias_table():
 def test_run_suite_accepts_alias():
     checks = run_suite("thm-4.4", RunConfig(quick=True))
     assert len(checks) == 1
-    assert checks[0].name == "expansion-identity"
-    assert checks[0].passed
+    name, report = checks[0]
+    assert name == "expansion-identity"
+    assert report.passed
 
 
 def test_run_suite_unknown_name():

@@ -87,12 +87,21 @@ def test_levy_convergence_validation():
         check_levy_convergence(Stable(0.5), "bump", [], 64, RandomStream(0))
 
 
-@pytest.mark.parametrize("beta,t", [(0.99, 1e-2), (0.9, 1e-30)])
+@pytest.mark.parametrize("beta,t", [(0.99, 1e-2), (0.99, 0.05), (0.9, 1e-30)])
 def test_levy_convergence_refuses_a_proposal_out_of_range(beta, t):
     # the tail proposal's angle (u_cap / t^(1/b))^(b/(1-b)) leaves double
-    # range here; the range check refuses it instead of an OverflowError
-    with pytest.raises(ValueError, match="out of range for importance sampling"):
+    # range here; the range check refuses it instead of an OverflowError,
+    # naming the cap of 60 as the proposal's, not as a domain's time scale
+    with pytest.raises(ValueError, match=(
+        rf"clock time {t:g} is out of range for importance sampling at index {beta:g}: .*"
+        r"the proposal's clock cap u_cap = 60, and their ratio"
+    )):
         check_levy_convergence(Stable(beta), "bump", [t], 4096, RandomStream(0))
+
+
+def test_levy_convergence_answers_just_inside_the_proposal_range():
+    report = check_levy_convergence(Stable(0.99), "bump", [0.06], 4096, RandomStream(0))
+    assert len(report.points) == 1
 
 
 @pytest.mark.parametrize(

@@ -75,8 +75,6 @@ def test_spectral_subordinate_matches_series_oracle(exp, t, kmax):
     series, tail = subordinate_deficit_series(UNIT, exp, t, kmax=kmax)
     _assert_within(est, UNIT.volume - series, slack=tail)
     assert est.n_paths == 200_000
-    assert est.seed == 42
-    assert est.wall_time > 0.0
 
 
 @pytest.mark.parametrize(

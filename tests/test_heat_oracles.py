@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from subheat import (
     exact_Q_interval,
     inverse_reference,
     kanter_angle,
+    mc_Q_disk,
     parse_domain,
     subordinate_deficit_series,
 )
@@ -404,6 +406,44 @@ def test_disk_survival_accepts_per_path_clocks():
     a = disk_survival_block(1.0, u, RandomStream(5), strat_index=0, strat_total=2048, n=2048)
     b = disk_survival_block(1.0, 0.01, RandomStream(5), strat_index=0, strat_total=2048, n=2048)
     assert np.allclose(a, b)
+
+
+@pytest.mark.parametrize(
+    "walk,digest",
+    [
+        (lambda s: disk_survival_block(1.0, 0.01, s, strat_index=0, strat_total=4096, n=4096),
+         "f85ed38d2d8665a795bc48c1e465401b787e223381f8456fb8b1600658b53832"),
+        (lambda s: disk_survival_block(
+            2.0, np.geomspace(1e-4, 1.0, 3000), s, strat_index=1000, strat_total=8192, n=3000, n_steps=96),
+         "9a07ef23b889418f319c7a8a905ee39de4613fd3835bbb9dcf835478de73f41c"),
+        (lambda s: disk_survival_block(0.5, 0.002, s, strat_index=12288, strat_total=32768, n=4096, n_steps=128),
+         "35acb62bd82d14a4f437270be630a4d245ea88b8347854b604fa8a1ecd0f2c5b"),
+        (lambda s: disk_survival_block(1.0, 5.0, s, strat_index=0, strat_total=2048, n=2048),
+         "a1f52fe61fe5fdd577d1314029f6ff16c6db3addd82758fea9d60ed89e7d548a"),
+        (lambda s: interval_survival_block(1.0, 0.02, s, strat_index=0, strat_total=4096, n=4096),
+         "00902fbd8d5c914386a6be59048797bebb375f5cad738e4c7e5b751382454af4"),
+        (lambda s: interval_survival_block(
+            3.0, np.geomspace(1e-4, 1.0, 3000), s, strat_index=1000, strat_total=8192, n=3000, n_steps=96),
+         "c324226793562d3ab8a4cc201b7e313015c23376c5704319a8d0b99d8e0cae86"),
+        (lambda s: interval_survival_block(1.0, 0.02, s, strat_index=12288, strat_total=32768, n=4096, n_steps=128),
+         "6ce1fa6ca0d83a9f8d3606eb0179e11dbc78bc17c6dd21503bbfbd759f3bc597"),
+        (lambda s: interval_survival_block(1.0, 5.0, s, strat_index=0, strat_total=2048, n=2048),
+         "3e6fe7ab2a325958b01832b30cf02cfd42eb10e83b459989c828659f3f5ebbc2"),
+    ],
+    ids=[f"{dom}-{case}" for dom in ("disk", "interval") for case in ("scalar-64", "per-path-96", "strat-128", "early-exit")],
+)
+def test_bridge_walks_keep_their_bits(walk, digest):
+    # sha256 of the survival probabilities and of the next draws of the
+    # stream, which pin how many steps the walk drew: at u = 5 every path is
+    # killed within 24 of the 64 steps, and the walk stops there
+    stream = RandomStream(11)
+    surv = walk(stream)
+    assert hashlib.sha256(surv.tobytes() + stream.uniforms(4).tobytes()).hexdigest() == digest
+
+
+def test_disk_cross_check_keeps_its_bits():
+    est = mc_Q_disk(Disk(1.0), 1e-3, 65536, RandomStream(1, 0))
+    assert (est.value, est.stderr) == (2.9188279593741773, 0.003113252344219308)
 
 
 def _inverse_mpmath(mpmath, exp, dom, t, quantity):

@@ -71,6 +71,84 @@ def test_every_subheat_name_the_benchmark_uses_resolves():
     assert [f"{owner}.{name}" for owner, name in sorted(refs) if not _resolves(f"{owner}.{name}")] == []
 
 
+def _bound_names(target):
+    """The names an assignment target binds, through tuple and list targets."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _bound_names(elt)]
+    return []
+
+
+def _unread_package_code():
+    """(module, name) of every module-level function, class and constant of
+    src/subheat, dunders aside, that nothing reaches from cli.main, from a
+    module-level statement that defines and imports nothing, or from a
+    subheat name that perfbench/*.py uses; a definition reaches every
+    package name it reads."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in (ROOT / "src" / "subheat").glob("*.py")}
+    defs, imports = {}, {}
+    statements = []  # (module, node) of the module-level statements that define and import nothing
+    for module, tree in trees.items():
+        # local name -> (module, name) it imports, or (module, None) for a module
+        imports[module] = {
+            alias.asname or alias.name: (node.module, alias.name) if node.module else (alias.name, None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n for t in targets for n in _bound_names(t)]
+            else:
+                names = []
+            names = [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+            defs.update({(module, n): node for n in names})
+            if not names and not isinstance(node, (ast.Import, ast.ImportFrom)):
+                statements.append((module, node))
+
+    def resolve(module, name):
+        while (module, name) not in defs:
+            module, name = imports[module].get(name, (None, None))
+            if name is None:
+                return None
+        return module, name
+
+    def reads(module, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield resolve(module, sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                owner, name = imports[module].get(sub.value.id, (None, ""))
+                if name is None:
+                    yield resolve(owner, sub.attr)
+
+    reached = {("cli", "main")}
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for owner, name in _subheat_references(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            # owner is subheat, a module of it, or a name in either, as in subheat.Kind.INVERSE
+            path_in = owner.split(".")[1:] + [name]
+            module = path_in.pop(0) if path_in[0] in trees else "__init__"
+            reached.add(resolve(module, path_in[0]))
+    reached.discard(None)  # a subheat module itself, as in from subheat import cli
+    todo = statements + [(module, defs[module, name]) for module, name in reached]
+    while todo:
+        module, node = todo.pop()
+        for found in set(reads(module, node)) - reached - {None}:
+            reached.add(found)
+            todo.append((found[0], defs[found]))
+    return sorted(set(defs) - reached)
+
+
+def test_every_package_definition_has_a_reader():
+    # a definition that neither the CLI, the import of the package nor the
+    # benchmark reaches has only tests for readers: delete it or give it one
+    assert _unread_package_code() == []
+
+
 def test_every_public_name_resolves():
     import subheat
 
