@@ -5,13 +5,15 @@ domain and quantity: the domain's ORACLES table maps the quantity to its
 exact heat lost f(dom, u), its rate f'(u) and its Laplace transform, and
 nothing else depends on the domain.  All estimation is Rao-Blackwellized: a
 path of the time change is drawn, then f at that clock value replaces the
-Brownian indicator.  Deep-time subordinator runs (leading index <= 1/2) of a
-content |Omega| - f, the spectral one, use importance sampling on the Kanter
-representation while f is a rare event of the clock, because plain draws
-almost never land where it is nonzero once t is of order 1e-8.  Each weighted path is a smooth function
-of two uniforms per stable component, so that route draws them from scrambled
-Sobol nets, which integrate such functions far faster than n^(-1/2) (Owen
-1997), and takes its stderr from the spread of independently scrambled nets.
+Brownian indicator.  Small-time subordinator runs (leading index <= 1/2) of
+a content |Omega| - f, the spectral one, use importance sampling on the
+Kanter representation while the untempered clock's scale t phi(1/u_cap)
+against the domain's saturation clock u_cap is at most 1/20 and its tilt is
+small, because plain draws almost never land where f is nonzero once t is
+of order 1e-8.  Each weighted path is a smooth function of two uniforms per
+stable component, so that route draws them from scrambled Sobol nets, which
+integrate such functions far faster than n^(-1/2) (Owen 1997), and takes
+its stderr from the spread of independently scrambled nets.
 The plain and duality routes stay on Philox streams.
 
 Inverse clocks without a closed-form E_t are estimated by duality at small
@@ -65,6 +67,13 @@ from .samplers import (
 
 
 _LOG_RANGE = math.log(1e300)
+# bounds of the scale rule in _clock_kernel, measured on interval (0, 1) at
+# 65,536 paths: at t sum w u_cap^(-b) = _IS_SCALE plain draws have 1.0x
+# (b = 2^-7) to 24x (b = 1/2) the proposal's variance, and win from 4 to 8
+# times it on; tempered clocks at b = 0.05 to 0.2 meet plain draws at 1.1
+# to 1.5 times the tilt bound
+_IS_SCALE = 0.05
+_IS_TILT = 3.0
 
 
 def _is_saturation(beta, t, u_cap):
@@ -72,12 +81,13 @@ def _is_saturation(beta, t, u_cap):
 
     In Kanter form D_t = t^(1/b) (A/e)^((1-b)/b) passes u_cap = s_cap t^(1/b)
     only for e below e_sat = A(0+) s_cap^(-b/(1-b)) or so: a rare event, which
-    the importance proposal targets while e_sat is below _is_switch(b).  u_cap
-    is the proposal's clock cap, a domain's saturation clock or 60 in
-    check_levy_convergence.  The proposal's angle grows like s_cap^(b/(1-b)),
-    which must stay within 1e300 of 1 too; near b = 1 it leaves that range
-    first, and check_levy_convergence, which takes this route for every
-    stable clock, is refused there: at b = 0.99 for t <= 0.05.
+    the importance proposal targets.  u_cap is the proposal's clock cap, a
+    domain's saturation clock or 60 in check_levy_convergence; _clock_kernel
+    refuses a row out of range before any block runs.  The proposal's angle
+    grows like s_cap^(b/(1-b)), which must stay within 1e300 of 1 too; near
+    b = 1 it leaves that range first, and check_levy_convergence, which
+    takes this route for every stable clock, is refused there: at b = 0.99
+    for t <= 0.05.
     """
     log_scale = math.log(t) / beta
     log_cap = math.log(u_cap) - log_scale
@@ -90,19 +100,6 @@ def _is_saturation(beta, t, u_cap):
         )
     s_cap = u_cap / t ** (1.0 / beta)
     return s_cap, samplers.kanter_angle_min(beta) * s_cap ** (-beta / (1.0 - beta))
-
-
-# (index, e_sat) where the importance proposal's stderr meets that of plain
-# draws, measured on stable clocks at 65,536 paths (interval (0, 1), six
-# seeds): the proposal is up to 50x better below and up to 70x worse above
-_IS_CROSSOVER = ((0.1, 6e-3), (0.25, 2e-3), (0.4, 8e-5), (0.5, 1e-6))
-
-
-def _is_switch(beta):
-    """e_sat below which importance sampling beats plain draws at index beta,
-    log-interpolated in the measured crossovers."""
-    b, e = zip(*_IS_CROSSOVER)
-    return 10.0 ** np.interp(beta, b, np.log10(e))
 
 
 def _is_stable_draws(beta, t, u_cap, u_v, u_e):
@@ -183,15 +180,6 @@ def _deficit_is_draws(args, stream, lo, size, n):
         with np.errstate(under="ignore"):
             out *= np.exp(_log_tilt(exp, t, d))
     return out.reshape(nets, -1).mean(axis=1)
-
-
-def _importance_sampled(exp, t, u_cap):
-    """Whether a subordinator's deficit at t is importance-sampled: leading
-    index <= 1/2, and the deficit rare enough for every component that the
-    proposal beats plain draws."""
-    return regime(exp) is not Regime.HIGH_INDEX and all(
-        _is_saturation(b, w * t, u_cap)[1] < _is_switch(b) for b, w in exp.components
-    )
 
 
 def _draw_kernel(args, stream, lo, size, n):
@@ -281,8 +269,13 @@ def _clock_kernel(spec, dom, t, quantity):
     e^(u (2 theta^b - (2 theta)^b)).  A tempered clock on it scores the
     difference from its untempered twin (same components, theta = 0), and the
     offset is the twin's exact E f(E_t) from inverse_reference.  A spectral
-    subordinator row takes importance sampling where _importance_sampled says
-    so, which refuses a clock time out of its range before any block runs.
+    subordinator row at leading index <= 1/2 is importance-sampled while its
+    untempered twin's clock scale t sum w u_cap^(-b), about the chance that
+    it passes the saturation clock u_cap, is at most _IS_SCALE and its tilt
+    t sum w theta^b at most the smallest index over _IS_TILT, bounds that
+    Brownian scaling leaves as they are.  _is_saturation refuses, before any
+    block runs, such a row out of the proposal's range, and a plain one whose
+    clock scale (w t)^(1/b) is above the draws' 1e300 cap.
     Everything else draws the clock.  Every route but tempered duality has
     offset 0.0.
     """
@@ -291,8 +284,14 @@ def _clock_kernel(spec, dom, t, quantity):
         if spec.grid_step is None and not isinstance(exp, Stable) and _tilt_rate(exp) <= phi(exp, 1.0 / t):
             twin = inverse_reference(MixedStable(exp.components), dom, t, quantity) if exp.theta > 0.0 else 0.0
             return _duality_kernel, (spec, dom, t, quantity, *_duality_horizons(exp, t)), twin
-    elif QUANTITIES[quantity].complement and _importance_sampled(exp, t, dom.saturation_clock):
-        return _deficit_is_draws, (exp, dom, t), 0.0
+    elif QUANTITIES[quantity].complement and regime(exp) is not Regime.HIGH_INDEX:
+        u_cap, comps = dom.saturation_clock, exp.components
+        weighted = t * sum(w * u_cap**-b for b, w in comps) <= _IS_SCALE and t * _tilt_rate(exp) <= comps[0][0] / _IS_TILT
+        for b, w in comps:
+            if weighted or math.log(w * t) > b * _LOG_RANGE:
+                _is_saturation(b, w * t, u_cap)
+        if weighted:
+            return _deficit_is_draws, (exp, dom, t), 0.0
     return _draw_kernel, (spec, dom, t, quantity), 0.0
 
 
@@ -328,13 +327,13 @@ def estimate_spectral_subordinate(exp, dom, t, n, stream, *, workers=1):
     return estimate(TimeChangeSpec(exp, Kind.SUBORDINATOR), dom, t, n, stream, workers=workers)
 
 
-def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1, grid_step=None):
+def estimate_spectral_inverse(exp, dom, t, n, stream, *, workers=1):
     """Spectral heat content under an inverse subordinator clock; the clock
     is continuous, so the killed and time-changed-then-killed contents
-    coincide and one estimator serves both.  A set grid_step walks the grid."""
-    return estimate(TimeChangeSpec(exp, Kind.INVERSE, grid_step), dom, t, n, stream, workers=workers)
+    coincide and one estimator serves both."""
+    return estimate(TimeChangeSpec(exp, Kind.INVERSE), dom, t, n, stream, workers=workers)
 
 
-def estimate_regular(exp, dom, t, n, stream, kind, *, workers=1, grid_step=None):
+def estimate_regular(exp, dom, t, n, stream, kind, *, workers=1):
     """Regular heat content: expected heat mass in the complement at time t."""
-    return estimate(TimeChangeSpec(exp, Kind(kind), grid_step), dom, t, n, stream, "regular", workers=workers)
+    return estimate(TimeChangeSpec(exp, Kind(kind)), dom, t, n, stream, "regular", workers=workers)

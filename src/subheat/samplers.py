@@ -566,7 +566,7 @@ def _grid_inverse_block(exp, t, grid_step, refine, stream, n):
     while alive.size:
         k = int(max(64, min(4096, 4_000_000 // alive.size)))
         if exp.theta > 0.0:
-            k = max(1, min(k, int(_ROW_TILT / (h * exp.theta**exp.beta)) or 1))
+            k = min(k, int(_ROW_TILT / (h * exp.theta**exp.beta)) or 1)
         if steps_done + k > _STEP_GUARD:
             raise RunawaySamplerError(
                 f"no crossing of t={t:g} within {_STEP_GUARD:.0e} steps of size {h:g}"

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 
 from subheat import (
     Disk,
+    Interval,
     Kind,
     LadderReport,
     RandomStream,
     RunawaySamplerError,
     Stable,
+    TemperedStable,
     TimeChangeSpec,
     estimate,
+    subordinate_deficit_series,
 )
 from subheat import cli
 from subheat.cli import (
@@ -453,6 +456,17 @@ def test_exit_2_on_infinite_t_or_no_workers(argv, message, capsys):
     assert message in err
     # one short line, however far out of range the input is
     assert err.count("\n") == 1 and err.endswith("\n") and len(err) <= 300
+
+
+def test_tiny_index_row_on_plain_draws_answers(capsys):
+    # past the tilt bound t theta^b = b/3 this row draws its clock plainly, so
+    # the importance proposal's range, which t^(1/b) = e^-743 leaves, does
+    # not apply
+    argv = ["estimate", "--exponent", "tempered:0.0078125,1", "--t", "3e-3", "--paths", "65536", "--format", "json"]
+    assert main(argv) == 0
+    spectral = json.loads(capsys.readouterr().out)[0]
+    deficit, tail = subordinate_deficit_series(Interval(0.0, 1.0), TemperedStable(0.0078125, 1.0), 3e-3)
+    assert abs(spectral["value"] - (1.0 - deficit)) <= 4.0 * spectral["stderr"] + tail
 
 
 def test_ratio_reads_a_deficit_far_below_the_volume(capsys):

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import struct
 import os
+import runpy
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -38,10 +39,15 @@ from subheat import (
 )
 from subheat import samplers
 from subheat.diagnostics import _inverse_moment_kernel
-from subheat.estimators import _clock_kernel, _deficit_is_draws, _draw_kernel, _importance_sampled
+from subheat.estimators import _clock_kernel, _deficit_is_draws, _draw_kernel
 from subheat.samplers import BLOCK, combine_blocks
 
 UNIT = Interval(0.0, 1.0)
+
+
+def _weighted(exp, dom, t):
+    """Whether the spectral subordinator row is importance-sampled."""
+    return _clock_kernel(TimeChangeSpec(exp, Kind.SUBORDINATOR), dom, t, "spectral")[0] is _deficit_is_draws
 
 
 def _assert_within(est, target, slack=0.0):
@@ -404,7 +410,7 @@ def test_disk_subordinate_matches_the_j0_series(exp, t, weighted):
     # plain draws at high index; deep at index 1/4 the deficit is a rare
     # event of the clock, and the importance-sampled draws score the disk
     disk = Disk(1.0)
-    assert _importance_sampled(exp, t, disk.saturation_clock) is weighted
+    assert _weighted(exp, disk, t) is weighted
     est = estimate(TimeChangeSpec(exp, Kind.SUBORDINATOR), disk, t, 65_536, RandomStream(12))
     target = _disk_subordinate_deficit(exp, t)
     assert abs(est.deficit - target) <= 4.0 * est.stderr
@@ -467,6 +473,11 @@ def _interval_subordinate_deficit(exp, t, head=20_000):
             ("stable:0.25", Disk(1.0)),
         )
         for t in (1e-4, 1e-10)
+    ]
+    # rows the scale rule moved from plain draws, just inside its bound
+    + [
+        pytest.param("stable:0.5", UNIT, 0.0398, id="stable:0.5-interval-0.0398"),
+        pytest.param("mixed:0.1*1+0.3*2", UNIT, 0.01, id="mixed:0.1*1+0.3*2-interval-0.01"),
     ],
 )
 def test_importance_sampled_stderr_is_calibrated(text, dom, t):
@@ -474,7 +485,7 @@ def test_importance_sampled_stderr_is_calibrated(text, dom, t):
     # reported stderr, taken from the nets' spread, holds against the exact
     # deficit
     exp = parse_exponent(text)
-    assert _importance_sampled(exp, t, dom.saturation_clock)
+    assert _weighted(exp, dom, t)
     target = _interval_subordinate_deficit(exp, t) if dom is UNIT else _disk_subordinate_deficit(exp, t)
     spec = TimeChangeSpec(exp, Kind.SUBORDINATOR)
     ests = [estimate(spec, dom, t, 8192, RandomStream(seed)) for seed in range(200)]
@@ -486,27 +497,47 @@ def test_importance_sampled_stderr_is_calibrated(text, dom, t):
 # ------------------------------------------------------ importance switch
 
 
+_SAT = math.pi / 4.0  # saturation clock of both interval (0, 1) and disk(1)
+
+# each clock at the bound of the scale rule that binds it: the twin's clock
+# scale t sum w u_cap^(-b) = 1/20, or for tempered:0.1,1 the tilt
+# t theta^b = b/3, which comes before its scale bound at t = 0.0488
+_RULE_BOUNDS = (
+    ("stable:0.1", 0.05 * _SAT**0.1),
+    ("stable:0.0078125", 0.05 * _SAT**0.0078125),
+    ("tempered:0.5,1", 0.05 * _SAT**0.5),
+    ("tempered:0.1,1", 0.1 / 3.0),
+    ("mixed:0.1*1+0.3*2", 0.05 / (_SAT**-0.1 + 2.0 * _SAT**-0.3)),
+)
+
+
 @pytest.mark.parametrize(
-    "exp,t,weighted",
+    "exp,dom,t,weighted",
     [
-        (Stable(0.5), 1.0, False),
-        (Stable(0.5), 0.1, False),
-        (Stable(0.25), 1.0, False),
-        (Stable(0.5), 1e-3, True),
-        (Stable(0.25), 1e-3, True),
+        pytest.param(Stable(0.5), UNIT, 1.0, False, id="exp0-1.0-False"),
+        pytest.param(Stable(0.5), UNIT, 0.1, False, id="exp1-0.1-False"),
+        pytest.param(Stable(0.25), UNIT, 1.0, False, id="exp2-1.0-False"),
+        pytest.param(Stable(0.5), UNIT, 1e-3, True, id="exp3-0.001-True"),
+        pytest.param(Stable(0.25), UNIT, 1e-3, True, id="exp4-0.001-True"),
+    ]
+    + [
+        pytest.param(parse_exponent(text), dom, bound * scale, weighted, id=f"{text}-{name}-{side}")
+        for text, bound in _RULE_BOUNDS
+        for name, dom in (("interval", UNIT), ("disk", Disk(1.0)))
+        for side, scale, weighted in (("inside", 0.98, True), ("outside", 1.02, False))
     ],
 )
-def test_importance_switch_picks_the_lower_stderr(exp, t, weighted):
-    # the switch sits where the proposal's stderr meets that of plain draws,
-    # so the path taken is never noisier than plain draws of the same clock
+def test_importance_switch_picks_the_lower_stderr(exp, dom, t, weighted):
+    # the rule sends a row to the proposal only where the proposal's stderr
+    # is below that of plain draws, so the path taken is never noisier than
+    # plain draws of the same clock
     n = 65_536
-    u_cap = math.pi * UNIT.length**2 / 4.0
-    assert _importance_sampled(exp, t, u_cap) is weighted
-    est = estimate_spectral_subordinate(exp, UNIT, t, n, RandomStream(8))
-    plain = exact_deficit_interval(UNIT, samplers.sample_subordinator(exp, t, RandomStream(8, 2**40), n))
+    assert _weighted(exp, dom, t) is weighted
+    est = estimate(TimeChangeSpec(exp, Kind.SUBORDINATOR), dom, t, n, RandomStream(8))
+    plain = dom.ORACLES["spectral"][0](dom, samplers.sample_subordinator(exp, t, RandomStream(8, 2**40), n))
     assert est.stderr <= 1.1 * float(plain.std(ddof=1)) / math.sqrt(n)
-    series, tail = subordinate_deficit_series(UNIT, exp, t)
-    assert abs(est.deficit - series) <= 4.0 * est.stderr + tail
+    target, tail = subordinate_deficit_series(UNIT, exp, t) if dom is UNIT else (_disk_subordinate_deficit(exp, t), 0.0)
+    assert abs(est.deficit - target) <= 4.0 * est.stderr + tail
 
 
 @pytest.mark.parametrize(
@@ -514,9 +545,48 @@ def test_importance_switch_picks_the_lower_stderr(exp, t, weighted):
 )
 def test_importance_sampling_kept_on_every_deep_rung(text):
     # the sub-ladder rungs and the verify suites' ladders stay weighted
-    u_cap = math.pi * UNIT.length**2 / 4.0
     for t in (1e-4, 1e-6, 1e-8, 1e-10):
-        assert _importance_sampled(parse_exponent(text), t, u_cap)
+        assert _weighted(parse_exponent(text), UNIT, t)
+
+
+_BENCHMARK = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "configs.py"))
+
+# the kernel of every benchmark row, (spectral, regular) for each sub-ladder
+# clock on every rung, and one kernel for every quantity and rung of each
+# cli-sweep estimate call
+_SUB_LADDER_KERNELS = {
+    "stable:0.75": ("_draw_kernel", "_draw_kernel"),
+    "stable:0.5": ("_deficit_is_draws", "_draw_kernel"),
+    "stable:0.25": ("_deficit_is_draws", "_draw_kernel"),
+    "tempered:0.25,1": ("_deficit_is_draws", "_draw_kernel"),
+    "tempered:0.75,1": ("_draw_kernel", "_draw_kernel"),
+    "mixed:0.25*1+0.5*1": ("_deficit_is_draws", "_draw_kernel"),
+}
+_CLI_SWEEP_KERNELS = {
+    ("stable:0.75", "interval:0,1", "sub"): "_draw_kernel",
+    ("stable:0.5", "interval:0,1", "inv"): "_draw_kernel",
+    ("stable:0.75", "disk:1", "sub"): "_draw_kernel",
+    ("stable:0.5", "disk:1", "inv"): "_draw_kernel",
+}
+
+
+def test_every_benchmark_row_keeps_its_route():
+    # a benchmark row that changed route would change what its timings mean
+    dom = parse_domain(_BENCHMARK["UNIT"])
+    assert set(_SUB_LADDER_KERNELS) == set(_BENCHMARK["SUB_LADDER_EXPONENTS"])
+    for text, kernels in _SUB_LADDER_KERNELS.items():
+        spec = TimeChangeSpec(parse_exponent(text), Kind.SUBORDINATOR)
+        for t in _BENCHMARK["SUB_LADDER_RUNGS"]:
+            for quantity, name in zip(("spectral", "regular"), kernels):
+                assert _clock_kernel(spec, dom, t, quantity)[0].__name__ == name, (text, t, quantity)
+    assert set(_CLI_SWEEP_KERNELS) == {row[:3] for row in _BENCHMARK["CLI_ESTIMATES"]}
+    for text, domain, kind, ladder in _BENCHMARK["CLI_ESTIMATES"]:
+        dom = parse_domain(domain)
+        spec = TimeChangeSpec(parse_exponent(text), Kind(kind))
+        for t in map(float, ladder.split(",")):
+            for quantity in dom.ORACLES:
+                name = _clock_kernel(spec, dom, t, quantity)[0].__name__
+                assert name == _CLI_SWEEP_KERNELS[text, domain, kind], (text, domain, t, quantity)
 
 
 # ------------------------------------------------------ duality estimator
@@ -691,8 +761,8 @@ def test_walk_kept_past_small_times():
     spectral = estimate_spectral_inverse(exp, UNIT, t, 512, RandomStream(3))
     regular = estimate_regular(exp, UNIT, t, 512, RandomStream(4), Kind.INVERSE)
     for est, walk in (
-        (spectral, estimate_spectral_inverse(exp, UNIT, t, 512, RandomStream(3), grid_step=t * 1e-3)),
-        (regular, estimate_regular(exp, UNIT, t, 512, RandomStream(4), Kind.INVERSE, grid_step=t * 1e-3)),
+        (spectral, estimate(TimeChangeSpec(exp, Kind.INVERSE, t * 1e-3), UNIT, t, 512, RandomStream(3))),
+        (regular, estimate(TimeChangeSpec(exp, Kind.INVERSE, t * 1e-3), UNIT, t, 512, RandomStream(4), "regular")),
     ):
         assert (est.value, est.stderr) == (walk.value, walk.stderr)
     assert (spectral.value, spectral.stderr) == (0.0049521189644365915, 0.0018428667566067994)
