@@ -5,15 +5,19 @@ domain and quantity: the domain's ORACLES table maps the quantity to its
 exact heat lost f(dom, u), its rate f'(u) and its Laplace transform, and
 nothing else depends on the domain.  All estimation is Rao-Blackwellized: a
 path of the time change is drawn, then f at that clock value replaces the
-Brownian indicator.  Small-time subordinator runs (leading index <= 1/2) of
-a content |Omega| - f, the spectral one, use importance sampling on the
-Kanter representation while the untempered clock's scale t phi(1/u_cap)
-against the domain's saturation clock u_cap is at most 1/20 and its tilt is
-small, because plain draws almost never land where f is nonzero once t is
-of order 1e-8.  Each weighted path is a smooth function of two uniforms per
-stable component, so that route draws them from scrambled Sobol nets, which
-integrate such functions far faster than n^(-1/2) (Owen 1997), and takes
-its stderr from the spread of independently scrambled nets.
+Brownian indicator.  A subordinator row of either quantity, at any index,
+is importance sampled on the Kanter representation while the untempered
+clock's scale t phi(1/u_cap) against the domain's saturation clock u_cap is
+at most 1/20 and its tilt is small, because below that the heat lost is a
+rare event of the clock, which plain draws almost never reach; past it
+plain draws take over.  Each weighted path is a smooth function of two
+uniforms per stable component, so that route draws them from scrambled
+Sobol nets, which integrate such functions far faster than n^(-1/2)
+(Owen 1997), and takes its stderr from the spread of independently
+scrambled nets.  Its proposal is formed in logs, and its draws from the
+log-uniform exponents by exp, log and tan, which NumPy vectorizes, scored a
+slice of _IS_SLICE paths at a time, so a one-component weighted path costs
+no more than a plain one.
 The plain and duality routes stay on Philox streams.
 
 Inverse clocks without a closed-form E_t are estimated by duality at small
@@ -35,7 +39,7 @@ which cuts the variance over 1,000-fold at t = 1e-3 and more at smaller t.
 Importance sampling and duality are the two weighted routes.  Both draw the
 clock without its tempering and weight a tempered clock by one density ratio,
 e^_log_tilt, e^(clock * sum of w theta^b - theta d); their stable values come
-from the one Kanter form, samplers._kanter_stable.
+from the one Kanter form, samplers._kanter_stable, or its log form.
 
 Each estimator is a block kernel, a few lines that turn one block's clock
 draws into the heat lost per path, run by the block engine samplers.run_blocks:
@@ -55,7 +59,7 @@ import numpy as np
 
 from . import samplers
 from .heat_oracles import QUANTITIES, inverse_reference
-from .levy_exponents import MixedStable, Regime, Stable, phi, regime
+from .levy_exponents import MixedStable, Stable, phi
 from .samplers import (
     Estimate,
     Kind,
@@ -74,56 +78,71 @@ _LOG_RANGE = math.log(1e300)
 # to 1.5 times the tilt bound
 _IS_SCALE = 0.05
 _IS_TILT = 3.0
+# the proposal's exponential variates span [e_min, _E_MAX], and e_min and
+# v_min sit _LOG_REACH below the saturation values e_sat and v_sat, above
+# floors that keep e and v normal doubles
+_E_MAX = 50.0
+_LOG_REACH = math.log(1e-6)
+_LOG_V_MAX, _LOG_V_FLOOR, _LOG_E_FLOOR = math.log(1e-4), math.log(1e-290), math.log(1e-300)
+# a clock value e^x comes out of its log with relative rounding |x| 2^-53,
+# so past |x| = 2^32 a draw would keep fewer than 6 digits
+_LOG_SCALE_MAX = 2.0**32
 
 
 def _is_saturation(beta, t, u_cap):
-    """(s_cap, e_sat) of a beta-stable clock at time t against the clock value u_cap.
+    """(log v_min, log e_min), the lower ends of the importance proposal of a
+    beta-stable clock at time t against the clock value u_cap.
 
     In Kanter form D_t = t^(1/b) (A/e)^((1-b)/b) passes u_cap = s_cap t^(1/b)
-    only for e below e_sat = A(0+) s_cap^(-b/(1-b)) or so: a rare event, which
-    the importance proposal targets.  u_cap is the proposal's clock cap, a
-    domain's saturation clock or 60 in check_levy_convergence; _clock_kernel
-    refuses a row out of range before any block runs.  The proposal's angle
-    grows like s_cap^(b/(1-b)), which must stay within 1e300 of 1 too; near
-    b = 1 it leaves that range first, and check_levy_convergence, which
-    takes this route for every stable clock, is refused there: at b = 0.99
-    for t <= 0.05.
+    only for e below e_sat = A(0+) s_cap^(-b/(1-b)), or, at e = _E_MAX, for
+    v = 1 - u below v_sat = sin(b pi)/pi (s_cap^(b/(1-b)) _E_MAX)^(-(1-b)):
+    rare events, which the proposal targets.  Every quantity is formed in
+    logs, so the proposal holds wherever the clock scale t^(1/b) does,
+    however far from 1, and at any b.  u_cap is the proposal's clock cap, a
+    domain's saturation clock or 60 in check_levy_convergence;
+    _clock_kernel refuses a row out of range before any block runs.
     """
     log_scale = math.log(t) / beta
-    log_cap = math.log(u_cap) - log_scale
-    if max(abs(log_scale), abs(log_cap), abs(log_cap * beta / (1.0 - beta))) > _LOG_RANGE:
+    if not abs(log_scale) <= _LOG_SCALE_MAX:
         raise ValueError(
             f"clock time {t:g} is out of range for importance sampling at index {beta:g}: "
-            f"the clock scale t^(1/b) = e^{log_scale:g} must lie within 1e300 of 1 and of "
-            f"the proposal's clock cap u_cap = {u_cap:g}, and their ratio "
-            f"s = e^{log_cap:g} must have s^(b/(1-b)) within 1e300 of 1"
+            f"the clock scale t^(1/b) = e^{log_scale:g} must have a log of magnitude at most "
+            f"2^32, past which a draw keeps fewer than 6 digits"
         )
-    s_cap = u_cap / t ** (1.0 / beta)
-    return s_cap, samplers.kanter_angle_min(beta) * s_cap ** (-beta / (1.0 - beta))
+    log_s_cap = math.log(u_cap) - log_scale
+    log_e_sat = beta * math.log(beta) / (1.0 - beta) + math.log1p(-beta) - beta / (1.0 - beta) * log_s_cap
+    log_v_sat = math.log(math.sin(beta * math.pi) / math.pi) - beta * log_s_cap - (1.0 - beta) * math.log(_E_MAX)
+    log_v_min = max(min(log_v_sat + _LOG_REACH, _LOG_V_MAX), _LOG_V_FLOOR)
+    return log_v_min, max(log_e_sat + _LOG_REACH, _LOG_E_FLOOR)
 
 
 def _is_stable_draws(beta, t, u_cap, u_v, u_e):
     """Importance-sampled stable subordinator draws and their weights, one
-    per pair of uniforms (u_v, u_e) in (0, 1).
+    per pair of uniforms (u_v, u_e) in [0, 1), which are overwritten.
 
     Proposals are log-uniform in the Kanter angle complement v = 1 - u and in
     the exponential variate e, tuned so the draws cover the full range of
     clock values u up to u_cap, the domain's saturation clock, beyond which
-    Q has decayed.
+    the heat lost has saturated.  v, u, e, the weight and the draw all come
+    from the two log-uniform exponents, by exp and expm1 alone.
     """
-    s_cap, e_sat = _is_saturation(beta, t, u_cap)
-    sig_b = np.sin(beta * np.pi) ** beta * np.sin((1.0 - beta) * np.pi) ** (1.0 - beta)
-    e_min = max(e_sat * 1e-6, 1e-300)
-    e_max = 50.0
-    A_need = s_cap ** (beta / (1.0 - beta)) * e_max
-    v_sat = (sig_b / np.pi) * A_need ** (-(1.0 - beta))
-    v_min = max(min(v_sat * 1e-6, 1e-4), 1e-290)
-    log_v = np.log(1.0 / v_min)
-    log_e = np.log(e_max / e_min)
-    v = v_min * np.exp(log_v * u_v)
-    e = e_min * np.exp(log_e * u_e)
-    w = (log_v * v) * (log_e * e * np.exp(-e))
-    return samplers._kanter_stable(beta, t, samplers.kanter_ratio_tail(v, beta), e), w
+    log_v_min, log_e_min = _is_saturation(beta, t, u_cap)
+    span_v, span_e = -log_v_min, math.log(_E_MAX) - log_e_min
+    lv = np.subtract(u_v, 1.0, out=u_v)
+    lv *= span_v  # log v
+    le = np.multiply(u_e, span_e, out=u_e)
+    le += log_e_min  # log e
+    # the weight (span_v v)(span_e e e^-e) of the uniform angle and unit
+    # exponential against the proposal
+    w = lv + le
+    u = np.exp(le)
+    w -= u
+    np.exp(w, out=w)
+    w *= span_v * span_e
+    np.expm1(lv, out=u)
+    np.negative(u, out=u)
+    ratio = samplers.kanter_log_ratio(u, np.exp(lv, out=lv), beta)
+    return samplers.kanter_stable_from_logs(beta, math.log(t), ratio, le), w
 
 
 # scrambled nets an importance-sampled estimate is split into, at least: its
@@ -140,46 +159,66 @@ def _net_log2(n):
     return min(samplers.SOBOL_LOG2_MAX, max(0, (n // _MIN_NETS).bit_length() - 1))
 
 
+# paths the weighted kernel scores at a time: its temporaries are then 64 KB,
+# which stay in cache and come back from the allocator's free lists, where
+# block-sized ones were returned to the system and faulted in again on every
+# block (a third of the kernel's time)
+_IS_SLICE = 8192
+
+
 def _deficit_is_draws(args, stream, lo, size, n):
-    """Replicate means of the spectral deficit |Omega| - Q(D_t), importance
-    sampled; tempered exponents ride the stable proposal through an exact
-    exponential tilt of the marginal density.
+    """Replicate means of the heat lost f(D_t), for the quantity's oracle f,
+    importance sampled; tempered exponents ride the stable proposal through
+    an exact exponential tilt of the marginal density.
 
     The uniforms are scrambled Sobol nets of 2^_net_log2(n) points, one
     independent randomization per net, so the block returns one mean per net
     and run_blocks takes the stderr from their spread.  A ragged last block
     completes its last net, scoring fewer than one net's points past n.
     """
-    exp, dom, t = args
-    deficit = dom.ORACLES["spectral"][0]
-    u_cap = dom.saturation_clock
+    exp, dom, t, quantity = args
     m = _net_log2(n)
     nets = -(-size >> m)
-    comps = exp.components
     # columns 4i, 4i + 1 importance-sample component i; 4i + 2, 4i + 3 draw it plainly
-    u = samplers.sobol_uniforms(stream, 4 * len(comps) - 2, nets, m)
-    # Telescope the deficit d = |Omega| - Q over components: with partial
-    # sums S_j = D_1 + ... + D_j, write d(S_N) as the sum over j of
-    # d(S_{j-1} + D_j) - d(S_{j-1}), importance-sample D_j only, and draw
-    # S_{j-1} plainly with exact Kanter marginals.  Each increment is
-    # nonnegative and pointwise below the weighted single-component deficit
-    # (d is concave increasing in the clock), so every term's variance is
-    # dominated by ordinary single-component importance sampling.
-    # Multiplying the component weights instead degrades badly once t is
-    # deep in the short-time regime.
+    u = samplers.sobol_uniforms(stream, 4 * len(exp.components) - 2, nets, m)
+    out = np.empty(u.shape[1])
+    for j in range(0, out.size, _IS_SLICE):
+        out[j : j + _IS_SLICE] = _is_scores(exp, dom, t, dom.ORACLES[quantity][0], u[:, j : j + _IS_SLICE])
+    return out.reshape(nets, -1).mean(axis=1)
+
+
+def _is_scores(exp, dom, t, f, u):
+    """Weighted heat lost, one per column of the uniforms u, which are
+    overwritten.
+
+    Telescope f over components: with partial sums S_j = D_1 + ... + D_j,
+    write f(S_N) as the sum over j of f(S_{j-1} + D_j) - f(S_{j-1}),
+    importance-sample D_j only, and draw S_{j-1} plainly with exact Kanter
+    marginals.  Both oracles are increasing with f(0) = 0, and the deficit
+    is concave, so each increment is nonnegative and, for the deficit,
+    pointwise below the weighted single-component term: every term's
+    variance is then dominated by ordinary single-component importance
+    sampling.  Multiplying the component weights instead degrades badly
+    once t is deep in the short-time regime.
+    """
+    comps, u_cap = exp.components, dom.saturation_clock
     s_prev = 0.0
     for i, (b, wt) in enumerate(comps):
         d, w = _is_stable_draws(b, wt * t, u_cap, u[4 * i], u[4 * i + 1])
-        if i == 0:  # d(S_0) = d(0) = 0 needs no oracle call
-            out = deficit(dom, d) * w
+        if i == 0:  # f(S_0) = f(0) = 0 needs no oracle call
+            out = w
+            out *= f(dom, d)
         else:
-            out += (deficit(dom, np.minimum(s_prev + d, 1e300)) - deficit(dom, s_prev)) * w
+            term = f(dom, np.minimum(s_prev + d, 1e300))
+            term -= f(dom, s_prev)
+            term *= w
+            out += term
         if i + 1 < len(comps):
             s_prev = np.minimum(s_prev + samplers.stable_from_uniforms(b, wt * t, u[4 * i + 2], u[4 * i + 3]), 1e300)
     if exp.theta > 0.0:  # a tempered exponent has one component, drawn as d
         with np.errstate(under="ignore"):
             out *= np.exp(_log_tilt(exp, t, d))
-    return out.reshape(nets, -1).mean(axis=1)
+    return out
 
 
 def _draw_kernel(args, stream, lo, size, n):
@@ -262,36 +301,42 @@ def _clock_kernel(spec, dom, t, quantity):
     quantity's oracle f, the one place where an estimate's route is chosen:
     the estimate is the kernel's mean plus the offset.
 
+    A subordinator row, of either quantity and at any index, is importance
+    sampled while its untempered twin's clock scale t sum w u_cap^(-b), about
+    the chance that it passes the saturation clock u_cap, is at most
+    _IS_SCALE and its tilt t sum w theta^b at most the smallest index over
+    _IS_TILT, bounds that Brownian scaling leaves as they are; past them the
+    heat lost is no longer a rare event of the clock and plain draws take
+    over.  _is_saturation refuses, before any block runs, a weighted row
+    whose clock scale (w t)^(1/b) has a log beyond its range, and a plain row
+    is refused where that scale is above the draws' 1e300 cap.
     A non-stable inverse clock without a set grid step takes the duality
     kernel in the small-time regime u0 theta^b <= 1, u0 = 1/phi(1/t) being
     the scale of E_t; past it E_t concentrates near t/phi'(0) and the grid
     walk is cheap, while the tilt weight's variance grows like
     e^(u (2 theta^b - (2 theta)^b)).  A tempered clock on it scores the
     difference from its untempered twin (same components, theta = 0), and the
-    offset is the twin's exact E f(E_t) from inverse_reference.  A spectral
-    subordinator row at leading index <= 1/2 is importance-sampled while its
-    untempered twin's clock scale t sum w u_cap^(-b), about the chance that
-    it passes the saturation clock u_cap, is at most _IS_SCALE and its tilt
-    t sum w theta^b at most the smallest index over _IS_TILT, bounds that
-    Brownian scaling leaves as they are.  _is_saturation refuses, before any
-    block runs, such a row out of the proposal's range, and a plain one whose
-    clock scale (w t)^(1/b) is above the draws' 1e300 cap.
-    Everything else draws the clock.  Every route but tempered duality has
-    offset 0.0.
+    offset is the twin's exact E f(E_t) from inverse_reference.
+    Every other inverse clock draws its clock.  Every route but tempered
+    duality has offset 0.0.
     """
     exp = spec.exponent
     if spec.kind is Kind.INVERSE:
         if spec.grid_step is None and not isinstance(exp, Stable) and _tilt_rate(exp) <= phi(exp, 1.0 / t):
             twin = inverse_reference(MixedStable(exp.components), dom, t, quantity) if exp.theta > 0.0 else 0.0
             return _duality_kernel, (spec, dom, t, quantity, *_duality_horizons(exp, t)), twin
-    elif QUANTITIES[quantity].complement and regime(exp) is not Regime.HIGH_INDEX:
-        u_cap, comps = dom.saturation_clock, exp.components
-        weighted = t * sum(w * u_cap**-b for b, w in comps) <= _IS_SCALE and t * _tilt_rate(exp) <= comps[0][0] / _IS_TILT
+        return _draw_kernel, (spec, dom, t, quantity), 0.0
+    u_cap, comps = dom.saturation_clock, exp.components
+    if t * sum(w * u_cap**-b for b, w in comps) <= _IS_SCALE and t * _tilt_rate(exp) <= comps[0][0] / _IS_TILT:
         for b, w in comps:
-            if weighted or math.log(w * t) > b * _LOG_RANGE:
-                _is_saturation(b, w * t, u_cap)
-        if weighted:
-            return _deficit_is_draws, (exp, dom, t), 0.0
+            _is_saturation(b, w * t, u_cap)
+        return _deficit_is_draws, (exp, dom, t, quantity), 0.0
+    for b, w in comps:
+        if math.log(w * t) > b * _LOG_RANGE:
+            raise ValueError(
+                f"clock time {w * t:g} at index {b:g} puts the clock scale (w t)^(1/b) = "
+                f"e^{math.log(w * t) / b:g} above the 1e300 cap of plain clock draws"
+            )
     return _draw_kernel, (spec, dom, t, quantity), 0.0
 
 

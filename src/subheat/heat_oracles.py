@@ -78,11 +78,11 @@ _HANKEL_CUT = 1e4
 _DISK_J2 = jn_zeros(0, 20) ** 2
 _DISK_Q_WEIGHTS = 4.0 * np.pi / _DISK_J2  # Q(s) = sum of these times e^(-j_n^2 s)
 _DISK_RATE_WEIGHTS = np.full(_DISK_J2.size, 4.0 * np.pi)  # and -Q'(s)
-# r(x) and Phi(-x) are 0.0 in double precision past x = 38.6, so where a >= 40
-# every image term and the a Phi(-a) and phi(a) of H drop out exactly; every
-# e^(-(k pi/L)^2 u) is 0.0 once (pi/L)^2 u > 745.2, and so past 760
-_IMAGE_CUT = 40.0
-_EIGEN_CUT = 760.0
+# where a >= 9, 4 phi(0) - 8 (r(a) - r(2a) + r(3a) - r(4a)) rounds to 4 phi(0)
+# and a Phibar(a) + phi(0) - phi(a) to phi(0) in double precision (checked on
+# 2,000,001 points of a in [9, 40]; past 38.6 r(a) and Phibar(a) are 0.0), so
+# the image and Gaussian-tail terms are evaluated only below the cut
+_IMAGE_CUT = 9.0
 _MODE_CUT = 42.0  # modes with e^(-(j_n^2 - j_1^2) s) below e^-42 are left out
 # domain sizes whose squares, inverse squares and squared contents stay far
 # inside double range, which the oracles and the second moments need
@@ -115,24 +115,33 @@ def exact_deficit_interval(dom: Interval, u):
     """
     scalar, u_arr = _as_times(u)
     L = dom.length
+    # sigma 4 phi(0), the image form wherever a = L/sigma is past the cut
+    with np.errstate(over="ignore"):
+        sig = np.multiply(2.0, u_arr)
+    np.sqrt(sig, out=sig)
     out = np.zeros_like(u_arr)
-    lo = (u_arr > 0.0) & (u_arr < L * L / 10.0)
-    if np.any(lo):
-        sig = np.sqrt(2.0 * u_arr[lo])
-        a = L / sig
-        images = np.zeros_like(a)
-        near = a < _IMAGE_CUT
-        if np.any(near):
-            a = a[near]
-            images[near] = _r(a) - _r(2.0 * a) + _r(3.0 * a) - _r(4.0 * a)
-        out[lo] = sig * (4.0 / _SQRT_2PI - 8.0 * images)
-    u_flat = _EIGEN_CUT * (L / np.pi) ** 2
-    hi = (u_arr >= L * L / 10.0) & (u_arr < u_flat)
+    np.multiply(sig, 4.0 / _SQRT_2PI, out=out, where=u_arr > 0.0)
+    mid = (u_arr >= 0.5 * (L / _IMAGE_CUT) ** 2) & (u_arr < L * L / 10.0)
+    if np.any(mid):
+        a = L / sig[mid]
+        out[mid] = sig[mid] * (4.0 / _SQRT_2PI - 8.0 * (_r(a) - _r(2.0 * a) + _r(3.0 * a) - _r(4.0 * a)))
+    hi = u_arr >= L * L / 10.0
     if np.any(hi):
-        k = _EIGEN_K[:, None]
-        terms = 8.0 * L / (k * np.pi) ** 2 * np.exp(-((k * np.pi / L) ** 2) * u_arr[hi][None, :])
-        out[hi] = L - terms.sum(axis=0)
-    out[u_arr >= u_flat] = L
+        # mode by mode on every value, summed in order, so that no gather or
+        # scatter is made; an exponent below -700, where exp is slow, is
+        # floored there, which leaves a mode far below the rounding of L less
+        # the sum: past u = 72 (L/pi)^2 the deficit is L to the bit
+        coef, rate = 8.0 * L / (_EIGEN_K * np.pi) ** 2, -((_EIGEN_K * np.pi / L) ** 2)
+        total, term = np.zeros_like(u_arr), np.empty_like(u_arr)
+        for c, r in zip(coef, rate):
+            with np.errstate(over="ignore"):
+                np.multiply(r, u_arr, out=term)
+            np.maximum(term, -700.0, out=term)
+            np.exp(term, out=term)
+            term *= c
+            total += term
+        np.subtract(L, total, out=total)
+        np.copyto(out, total, where=hi)
     return _shaped(scalar, out)
 
 
@@ -186,38 +195,49 @@ def exact_H_interval(dom: Interval, u):
     """
     scalar, u_arr = _as_times(u)
     L = dom.length
+    with np.errstate(over="ignore", divide="ignore"):
+        a = np.multiply(u_arr, 2.0)
+        np.sqrt(a, out=a)
+        np.divide(L, a, out=a)  # inf at u = 0, where H = 0
+    # past the cut the bracket rounds to phi(0) to the bit, as it does at
+    # the cut, so it is taken on every value with a capped there: no gather,
+    # and no subnormal Gaussian tail, whose arithmetic is slow
+    res = 1.0 / _SQRT_2PI
+    if (a < _IMAGE_CUT).any():
+        res = _h_bracket(np.minimum(a, _IMAGE_CUT, out=a))
+    with np.errstate(over="ignore"):
+        two_sig = np.multiply(u_arr, 2.0, out=a)
+    np.sqrt(two_sig, out=two_sig)
+    two_sig *= 2.0
+    out = np.zeros_like(u_arr)
+    with np.errstate(invalid="ignore"):
+        np.multiply(res, two_sig, out=out, where=u_arr > 0.0)  # 0 inf where 2u overflows, set to L
     flat = u_arr >= 2.0**1023
-    out = np.where(flat, L, 0.0)
-    pos = (u_arr > 0.0) & ~flat
-    if np.any(pos):
-        # in place, in the operation order of the closed form; where
-        # a >= 40 it is its limit phi(0) 2 sigma
-        sig = u_arr[pos]
-        sig *= 2.0
-        np.sqrt(sig, out=sig)
-        a = np.divide(L, sig)
-        res = np.full_like(a, 1.0 / _SQRT_2PI)
-        keep = a < _IMAGE_CUT
-        if np.any(keep):
-            a = a[keep]
-            val = np.negative(a)
-            ndtr(val, out=val)
-            val *= a
-            near = a < 1.0
-            tail_near = val[near]
-            val += 1.0 / _SQRT_2PI
-            gauss = np.multiply(-0.5, a)
-            gauss *= a
-            np.exp(gauss, out=gauss)
-            gauss /= _SQRT_2PI
-            val -= gauss
-            if tail_near.size:
-                val[near] = tail_near - np.expm1(-0.5 * a[near] ** 2) / _SQRT_2PI
-            res[keep] = val
-        sig *= 2.0
-        res *= sig
-        out[pos] = res
+    if np.any(flat):
+        out[flat] = L
     return _shaped(scalar, out)
+
+
+def _h_bracket(a):
+    """a Phibar(a) + phi(0) - phi(a) of exact_H_interval, in the closed
+    form's operation order, with -phi(0) expm1(-a^2/2) for phi(0) - phi(a)
+    where a < 1.  a is overwritten."""
+    near = a < 1.0
+    res = np.negative(a)
+    ndtr(res, out=res)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res *= a
+        half = np.multiply(-0.5, a)
+        half *= a  # -a^2/2
+    near_form = np.expm1(half, out=a)
+    near_form /= _SQRT_2PI
+    np.subtract(res, near_form, out=near_form)
+    np.exp(half, out=half)
+    half /= _SQRT_2PI
+    res += 1.0 / _SQRT_2PI
+    res -= half
+    np.copyto(res, near_form, where=near)
+    return res
 
 
 def exact_H_rate_interval(dom: Interval, u):
@@ -266,8 +286,8 @@ def laplace_H_interval(dom: Interval, p, scale=1.0):
 @dataclass(frozen=True)
 class Quantity:
     """A heat content: name keys ORACLES; the heat lost is share 2|dOmega|
-    sqrt(u/pi) as u -> 0; complement: the content is |Omega| less it, and only
-    such a content is importance-sampled; tag_suffix ends its theorem tags."""
+    sqrt(u/pi) as u -> 0; complement: the content is |Omega| less it;
+    tag_suffix ends its theorem tags."""
 
     name: str
     share: float

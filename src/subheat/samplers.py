@@ -2,12 +2,13 @@
 
 All variates derive from counter-based Philox streams keyed by (seed,
 stream_key), so any draw sequence is reproducible bit-for-bit regardless of
-scheduling. Stable variates use Kanter's representation (exact, no rejection),
-and every stable marginal S_t, plain (_stable_block), from net columns
-(stable_from_uniforms) or from the importance proposal's tail angles
-(kanter_ratio_tail), is formed by one function, _kanter_stable, as one power
-of one product of the Kanter ratio A^(1-beta), so no value leaves double range
-unless S_t does; tempered variates, marginals and grid-walk increments alike,
+scheduling. Stable variates use Kanter's representation (exact, no rejection):
+every plain stable marginal S_t (_stable_block) is formed by one function,
+_kanter_stable, as one power of one product of the Kanter ratio A^(1-beta),
+and the weighted route's draws, from net columns (stable_from_uniforms) or
+from the importance proposal's log-uniform angles, by its log form,
+kanter_stable_from_logs, from kanter_log_ratio; so no value leaves double
+range unless S_t does; tempered variates, marginals and grid-walk increments alike,
 go through one exponential-tilt rejection loop, _tilted_rows, called by
 _subordinator_block; inverse variates use the exact first-passage identity for
 stable exponents and a grid first-passage walk with conditional bisection
@@ -38,6 +39,7 @@ import numpy as np
 from .levy_exponents import LaplaceExponent, Stable, TemperedStable, phi_prime
 
 _OPEN_EPS = 2.0**-54  # keeps uniforms strictly inside (0,1)
+_LOG_CAP = math.log(1e300)  # clock draws are capped at 1e300
 BLOCK = 32768
 
 
@@ -339,21 +341,47 @@ def kanter_angle_min(beta: float) -> float:
     return (beta**beta * (1.0 - beta) ** (1.0 - beta)) ** (1.0 / (1.0 - beta))
 
 
-def kanter_ratio_tail(v, beta: float):
-    """The Kanter ratio A(1-v)^(1-beta), evaluated without cancellation,
-    valid down to v ~ 1e-300.
+def _log_sin_pi(x, den):
+    """log sin(pi x) for x in (0, 1/2], in place on x, with den as scratch,
+    by the half-angle form sin = 2 tan/(1 + tan^2): NumPy vectorizes tan,
+    not sin, and the form is good to about an ulp since tan(pi x/2) lies in
+    (0, 1]."""
+    x *= np.pi / 2.0
+    np.tan(x, out=x)
+    np.square(x, out=den)
+    den += 1.0
+    x += x
+    x /= den
+    return np.log(x, out=x)
 
-    Double precision loses sin(pi(1-v)) entirely for v below ~1e-16, so the
-    sine arguments are expanded exactly around u = 1; importance-sampled
-    estimators probe this corner.
+
+def kanter_log_ratio(u, v, beta: float):
+    """log A(u)^(1-beta) = beta log sin(beta pi u) + (1-beta) log sin((1-beta) pi u)
+    - log sin(pi u), from the angle u in (0, 1) and its complement v = 1 - u,
+    each as accurate as the other; valid down to u or v ~ 1e-300.  u and v
+    are overwritten, which keeps the block-sized temporaries to two.
+
+    Every sine is taken as sin(pi x) at the smaller of x and 1 - x, each formed
+    from u and v without a subtraction, so no sine cancels near 0 or 1 at any
+    beta: the weighted route draws angles with v down to 1e-290, and its
+    net columns angles with u and v alike down to 2^-53.
     """
-    b = beta
-    sb, cb = np.sin(b * np.pi), np.cos(b * np.pi)
-    s1b, c1b = np.sin((1.0 - b) * np.pi), np.cos((1.0 - b) * np.pi)
-    n1 = sb * np.cos(b * np.pi * v) - cb * np.sin(b * np.pi * v)
-    n2 = s1b * np.cos((1.0 - b) * np.pi * v) - c1b * np.sin((1.0 - b) * np.pi * v)
-    den = np.sin(np.pi * v)
-    return n1**b * n2 ** (1.0 - b) / den
+    b, cb = beta, 1.0 - beta
+    out = np.multiply(cb, u)
+    out += v
+    arg = np.multiply(b, u)
+    np.minimum(arg, out, out=out)  # beta u or 1 - beta u
+    arg += v
+    np.minimum(u, v, out=v)  # u or 1 - u
+    np.multiply(cb, u, out=u)
+    np.minimum(u, arg, out=arg)  # (1 - beta) u or 1 - (1 - beta) u
+    _log_sin_pi(out, u)
+    out *= b
+    _log_sin_pi(arg, u)
+    arg *= cb
+    out += arg
+    out -= _log_sin_pi(v, u)
+    return out
 
 
 def _kanter_variates(beta: float, stream: RandomStream, shape):
@@ -373,8 +401,26 @@ def _stable_block(beta: float, t: float, stream: RandomStream, shape):
 
 def stable_from_uniforms(beta: float, t: float, u, w):
     """S_t from uniforms u and w strictly inside (0, 1), one per value: the
-    Kanter ratio at u and the exponential variate E = -log w."""
-    return _kanter_stable(beta, t, _kanter_ratio(u, beta), -np.log(w))
+    Kanter ratio at u and the exponential variate E = -log w, in logs; u is
+    overwritten."""
+    return kanter_stable_from_logs(beta, math.log(t), kanter_log_ratio(u, 1.0 - u, beta), np.log(-np.log(w)))
+
+
+def kanter_stable_from_logs(beta: float, log_t: float, log_ratio, log_e):
+    """S_t = e^((log t + log_ratio - (1-beta) log_e)/beta), capped at 1e300,
+    from the log of the Kanter ratio A^(1-beta) and of the exponential
+    variate; both are overwritten.
+
+    The log form of _kanter_stable, for the weighted route, which draws e
+    as the exponential of a log-uniform exponent: its one exp takes the
+    place of three powers, and nothing leaves double range at any beta and t.
+    """
+    log_ratio += log_t
+    log_e *= 1.0 - beta
+    log_ratio -= log_e
+    log_ratio /= beta
+    np.minimum(log_ratio, _LOG_CAP, out=log_ratio)
+    return np.exp(log_ratio, out=log_ratio)
 
 
 def _kanter_stable(beta: float, t, ratio, e):

@@ -25,6 +25,9 @@ from subheat import (
     TemperedStable,
     TimeChangeSpec,
     estimate,
+    parse_domain,
+    parse_exponent,
+    predict_spectral,
     subordinate_deficit_series,
 )
 from subheat import cli
@@ -424,7 +427,7 @@ def test_exit_2_on_unknown_suite(capsys):
         (["predict", "--domain", "disk:inf"], "radius must be positive and finite"),
         (
             ["estimate", "--exponent", "mixed:0.25*1e308+0.5", "--t", "1e-3", "--paths", "64"],
-            "clock time 1e+305 is out of range for importance sampling",
+            "above the 1e300 cap of plain clock draws",
         ),
         (["verify", "--suite", "expansion-identity", "--workers", "0"], "workers must be at least 1"),
         (["verify", "--suite", "moment-suite", "--quick", "--workers", "-3"], "workers must be at least 1"),
@@ -433,10 +436,6 @@ def test_exit_2_on_unknown_suite(capsys):
         (["estimate", "--exponent", "stable:0.75", "--t", "1e-320", "--paths", "64"], "and the rate t^(0.666667) finite"),
         (["estimate", "--t", "1e-3", "--domain", "interval:0,1e-300", "--paths", "64"], "interval length must lie in"),
         (["estimate", "--t", "1e-3", "--domain", "disk:1e200", "--paths", "64"], "disk radius must lie in"),
-        (
-            ["estimate", "--exponent", "stable:0.25", "--t", "1e-100", "--paths", "64"],
-            "clock time 1e-100 is out of range for importance sampling",
-        ),
         (["estimate", "--t", "2e4", "--paths", "64"], "and the rate t*log(1/t) finite and positive"),
         # a flag's value is read by the same parser as a config file's
         (["estimate", "--t-ladder", "1e-8,1e-6"], "t-ladder must be strictly decreasing"),
@@ -445,7 +444,7 @@ def test_exit_2_on_unknown_suite(capsys):
     ids=[
         "t-inf", "ladder-inf", "workers-0", "tempering-inf", "weight-inf", "predict-tempering-inf",
         "interval-inf", "interval-overflow", "disk-inf", "weight-overflow", "verify-workers-0", "verify-workers-negative",
-        "tolerance-nan", "tolerance-zero", "t-subnormal", "interval-tiny", "disk-huge", "is-clock-underflow",
+        "tolerance-nan", "tolerance-zero", "t-subnormal", "interval-tiny", "disk-huge",
         "rate-negative", "ladder-increasing", "is-clock-scale-overflow",
     ],
 )
@@ -456,6 +455,16 @@ def test_exit_2_on_infinite_t_or_no_workers(argv, message, capsys):
     assert message in err
     # one short line, however far out of range the input is
     assert err.count("\n") == 1 and err.endswith("\n") and len(err) <= 300
+
+
+def test_clock_scale_below_double_range_answers(capsys):
+    # t^(1/b) = 1e-400 at stable:0.25, t = 1e-100: the proposal is formed in
+    # logs, so the deficit, about C t by the low-index limit, is estimated
+    argv = ["estimate", "--exponent", "stable:0.25", "--t", "1e-100", "--paths", "65536", "--format", "json"]
+    assert main(argv) == 0
+    spectral = json.loads(capsys.readouterr().out)[0]
+    limit = predict_spectral(Stable(0.25), Interval(0.0, 1.0), Kind.SUBORDINATOR)
+    assert abs(spectral["ratio"] - limit.constant) <= 4.0 * spectral["stderr"] / 1e-100
 
 
 def test_tiny_index_row_on_plain_draws_answers(capsys):
@@ -843,3 +852,23 @@ def test_estimate_with_workers_exits_and_leaves_no_process():
         return
     os.killpg(proc.pid, signal.SIGKILL)
     pytest.fail("a process of the command outlived it")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(exponent=_EXPONENTS, domain=_DOMAINS, t=_log_uniform(1e-12, 10.0))
+def test_every_subordinator_row_under_the_scale_rule_is_weighted(exponent, domain, t):
+    # one route below the scale rule, for both quantities at every index;
+    # and every row whose clock scales lie within double range answers
+    from subheat.estimators import _IS_SCALE, _IS_TILT, _clock_kernel, _tilt_rate
+
+    exp, dom = parse_exponent(exponent), parse_domain(domain)
+    spec, u_cap = TimeChangeSpec(exp, Kind.SUBORDINATOR), dom.saturation_clock
+    under = t * sum(w * u_cap**-b for b, w in exp.components) <= _IS_SCALE
+    under = under and t * _tilt_rate(exp) <= exp.components[0][0] / _IS_TILT
+    in_range = all(abs(math.log(w * t) / b) <= math.log(1e300) for b, w in exp.components)
+    for quantity in dom.ORACLES:
+        if in_range:
+            kernel = _clock_kernel(spec, dom, t, quantity)[0]
+            assert (kernel.__name__ == "_deficit_is_draws") is under, (exponent, domain, t, quantity)
+            est = estimate(spec, dom, t, 64, RandomStream(0), quantity)
+            assert math.isfinite(est.value) and math.isfinite(est.stderr)

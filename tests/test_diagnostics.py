@@ -87,16 +87,22 @@ def test_levy_convergence_validation():
         check_levy_convergence(Stable(0.5), "bump", [], 64, RandomStream(0))
 
 
-@pytest.mark.parametrize("beta,t", [(0.99, 1e-2), (0.99, 0.05), (0.9, 1e-30)])
-def test_levy_convergence_refuses_a_proposal_out_of_range(beta, t):
-    # the tail proposal's angle (u_cap / t^(1/b))^(b/(1-b)) leaves double
-    # range here; the range check refuses it instead of an OverflowError,
-    # naming the cap of 60 as the proposal's, not as a domain's time scale
+def test_levy_convergence_refuses_a_proposal_out_of_range():
+    # the clock scale t^(1/b) = e^-6.9e300 is beyond the proposal's log range;
+    # the range check refuses it instead of drawing zeros
     with pytest.raises(ValueError, match=(
-        rf"clock time {t:g} is out of range for importance sampling at index {beta:g}: .*"
-        r"the proposal's clock cap u_cap = 60, and their ratio"
+        r"clock time 0.001 is out of range for importance sampling at index 1e-300: "
+        r"the clock scale t\^\(1/b\) = e\^-6.90776e\+300 must"
     )):
-        check_levy_convergence(Stable(beta), "bump", [t], 4096, RandomStream(0))
+        check_levy_convergence(Stable(1e-300), "bump", [1e-3], 4096, RandomStream(0))
+
+
+@pytest.mark.parametrize("t", [0.05, 1e-2])
+def test_levy_convergence_answers_near_index_one(t):
+    # the proposal is formed in logs, so near b = 1, where s^(b/(1-b)) left
+    # double range for t <= 0.05, it answers, within its band
+    report = check_levy_convergence(Stable(0.99), "bump", [t], 4096, RandomStream(0))
+    assert len(report.points) == 1 and report.passed
 
 
 def test_levy_convergence_answers_just_inside_the_proposal_range():

@@ -124,13 +124,13 @@ def test_worker_bit_identity(exp, dom, kind, quantity):
     "exponent,domain,kind,quantity,t,kernel,digest",
     [
         ("tempered:0.25,1", "interval:0,1", "sub", "spectral", 1e-6, "_deficit_is_draws",
-         "776a3b470d6b7a2f544a4a87716565ff418321c1ba81e4c7341b06b1dc282cff"),
+         "f219ef3bc1c676240fbba1100f172925052f4c9189d2e0e65b2c19ad0ff807d8"),
         ("tempered:0.5,1", "interval:0,1", "sub", "spectral", 1e-8, "_deficit_is_draws",
-         "f3bb9367d04ed13e721f9ad806cc22987d96aa4ac22dce2dad04c058e1813db8"),
+         "1bec1dfe78ab03d008ff2dfb8c5320daa7be2e51d055ab3ccab1f677391e2bc6"),
         ("mixed:0.25*1+0.5*1", "interval:0,1", "sub", "spectral", 1e-8, "_deficit_is_draws",
-         "a774f91cb5b6c6d23091deb5d7e47b94be29515e82535b3bbcbee0c62dbce5b0"),
+         "08fdb965e546e297e2a5065e02000a3ebc12d2816d07dc162163c21bc8bfd54d"),
         ("mixed:0.1*1+0.3*2", "disk:1", "sub", "spectral", 1e-6, "_deficit_is_draws",
-         "73ec900960188d6d64da795f30169577c48d2a8e47a877626e353542e7989745"),
+         "261a4bfe89ef5b62e07fd63edc4fd7e7659c88f6ab0685cc159aecc0809b9ecc"),
         ("tempered:0.5,1", "interval:0,1", "inv", "spectral", 1e-3, "_duality_kernel",
          "885fcdb404082ee6af78f27acfd5bfe13df9bbc198076352c46a1426cdf69769"),
         ("tempered:0.5,1", "interval:0,1", "inv", "regular", 1e-3, "_duality_kernel",
@@ -139,12 +139,18 @@ def test_worker_bit_identity(exp, dom, kind, quantity):
          "d360f5a6e8053987841d1d468e934481427b8785d96ff29b3b6e46d2759468f7"),
         ("tempered:0.25,3", "disk:2", "inv", "spectral", 1e-3, "_duality_kernel",
          "f617ad10aee1fecc42c98cb8af2bcd7792eb507f281b8c99dc97e3de9a81f4ea"),
-        ("tempered:0.75,1", "interval:0,1", "sub", "spectral", 1e-3, "_draw_kernel",
-         "f853fd0878f570b2ed43218d52f2daac0f97926fb8a6a0b3677b2736dbddf569"),
-        ("tempered:0.75,1", "interval:0,1", "sub", "regular", 1e-3, "_draw_kernel",
-         "55ee856c062b30a7789522c93618d6ac4eb3cdefaf362185d7d0caae86eead48"),
-        ("stable:0.75", "interval:0,1", "sub", "regular", 1e-3, "_draw_kernel",
-         "885b050682c846e2f06b979b5abee8f39da91b34459c4928aeae59e117985a64"),
+        ("tempered:0.75,1", "interval:0,1", "sub", "spectral", 1e-3, "_deficit_is_draws",
+         "478c551f4c86e11985f5a75c2407cdb8eb83a514606670f2341ec70824ee400a"),
+        ("tempered:0.75,1", "interval:0,1", "sub", "regular", 1e-3, "_deficit_is_draws",
+         "12f4a04d3e44ba016ea1999b1118a1693d695aab8c6bb47962194344ac07ab7d"),
+        ("stable:0.75", "interval:0,1", "sub", "regular", 1e-3, "_deficit_is_draws",
+         "46c582e9915af6347f519a94eb52430398efe104c64874c1429720f5a8044f07"),
+        ("tempered:0.75,1", "interval:0,1", "sub", "spectral", 1.0, "_draw_kernel",
+         "e9856d7ebc8dab3b2536db669c36114079a0c478ae7419d73e6bd4b4bfd4d944"),
+        ("tempered:0.75,1", "interval:0,1", "sub", "regular", 1.0, "_draw_kernel",
+         "69e1ae242704989647445423788a58eaa6b58f714c6d587ccdd6395a379db1a8"),
+        ("stable:0.75", "interval:0,1", "sub", "regular", 1.0, "_draw_kernel",
+         "fc367e28068746889778bfd7699285f437e09d903fe3876703b048c86aae0854"),
     ],
     ids=lambda x: x[:8] if isinstance(x, str) and len(x) == 64 else None,
 )
@@ -152,7 +158,8 @@ def test_route_digests(exponent, domain, kind, quantity, t, kernel, digest):
     # sha256 of the packed (value, deficit, stderr) of a 40,000-path estimate,
     # two blocks with a ragged last one, on each route and family that no
     # golden pins: the importance-sampled and duality routes with their tilt
-    # weights, and plain tempered and high-index draws
+    # weights, at high index and for the regular content too, and plain
+    # tempered and high-index draws above the scale rule
     spec, dom = TimeChangeSpec(parse_exponent(exponent), Kind(kind)), parse_domain(domain)
     assert _clock_kernel(spec, dom, t, quantity)[0].__name__ == kernel
     est = estimate(spec, dom, t, 40_000, RandomStream(21), quantity)
@@ -278,7 +285,7 @@ def test_refused_importance_sampling_raises_before_any_block():
     # is refused before the worker pool is made
     samplers._drop_pool()
     with pytest.raises(ValueError, match="out of range for importance sampling"):
-        estimate_spectral_subordinate(Stable(0.25), UNIT, 1e-100, 65_536, RandomStream(0), workers=2)
+        estimate_spectral_subordinate(Stable(1e-300), UNIT, 1e-3, 65_536, RandomStream(0), workers=2)
     assert samplers._pool is None
 
 
@@ -404,11 +411,12 @@ def test_disk_subordinate_helper_meets_the_benchmark_reference(text):
 
 @pytest.mark.parametrize(
     "exp,t,weighted",
-    [(Stable(0.75), 1e-2, False), (Stable(0.75), 1e-3, False), (Stable(0.25), 1e-8, True)],
+    [(Stable(0.75), 1e-2, True), (Stable(0.75), 1e-3, True), (Stable(0.25), 1e-8, True), (Stable(0.75), 1.0, False)],
 )
 def test_disk_subordinate_matches_the_j0_series(exp, t, weighted):
-    # plain draws at high index; deep at index 1/4 the deficit is a rare
-    # event of the clock, and the importance-sampled draws score the disk
+    # plain draws past the scale rule; below it the deficit is a rare event
+    # of the clock at every index, and the importance-sampled draws score
+    # the disk
     disk = Disk(1.0)
     assert _weighted(exp, disk, t) is weighted
     est = estimate(TimeChangeSpec(exp, Kind.SUBORDINATOR), disk, t, 65_536, RandomStream(12))
@@ -494,6 +502,33 @@ def test_importance_sampled_stderr_is_calibrated(text, dom, t):
     assert np.abs(z).max() <= 5.0
 
 
+@pytest.mark.parametrize(
+    "text,quantity,t",
+    [
+        ("stable:0.25", "regular", 1e-6),
+        ("mixed:0.25*1+0.5*1", "regular", 1e-4),
+        ("stable:0.75", "regular", 1e-4),
+        ("stable:0.75", "spectral", 1e-4),
+        ("tempered:0.75,1", "spectral", 1e-10),
+    ],
+)
+def test_newly_weighted_rows_are_calibrated(text, quantity, t):
+    # regular rows and high-index rows took plain draws, whose stderr did
+    # not hold there (z = -44,725 for stable:0.25 regular at 1e-10, z sd 1.56
+    # for stable:0.75 at 1e-10); on the weighted route 200 seeds of 8,192
+    # paths hold against the exact references of the benchmark
+    exp = parse_exponent(text)
+    ref = _benchmark_references()
+    clock = ref.subordinator_clock(exp, t)
+    target = ref.interval_regular(1.0, clock) if quantity == "regular" else ref.interval_deficit(1.0, clock)
+    spec = TimeChangeSpec(exp, Kind.SUBORDINATOR)
+    assert _clock_kernel(spec, UNIT, t, quantity)[0] is _deficit_is_draws
+    ests = [estimate(spec, UNIT, t, 8192, RandomStream(seed), quantity) for seed in range(200)]
+    z = np.array([(e.deficit - target) / e.stderr for e in ests])
+    assert 0.8 <= z.std(ddof=1) <= 1.2
+    assert np.abs(z).max() <= 5.0
+
+
 # ------------------------------------------------------ importance switch
 
 
@@ -555,17 +590,17 @@ _BENCHMARK = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench
 # clock on every rung, and one kernel for every quantity and rung of each
 # cli-sweep estimate call
 _SUB_LADDER_KERNELS = {
-    "stable:0.75": ("_draw_kernel", "_draw_kernel"),
-    "stable:0.5": ("_deficit_is_draws", "_draw_kernel"),
-    "stable:0.25": ("_deficit_is_draws", "_draw_kernel"),
-    "tempered:0.25,1": ("_deficit_is_draws", "_draw_kernel"),
-    "tempered:0.75,1": ("_draw_kernel", "_draw_kernel"),
-    "mixed:0.25*1+0.5*1": ("_deficit_is_draws", "_draw_kernel"),
+    "stable:0.75": ("_deficit_is_draws", "_deficit_is_draws"),
+    "stable:0.5": ("_deficit_is_draws", "_deficit_is_draws"),
+    "stable:0.25": ("_deficit_is_draws", "_deficit_is_draws"),
+    "tempered:0.25,1": ("_deficit_is_draws", "_deficit_is_draws"),
+    "tempered:0.75,1": ("_deficit_is_draws", "_deficit_is_draws"),
+    "mixed:0.25*1+0.5*1": ("_deficit_is_draws", "_deficit_is_draws"),
 }
 _CLI_SWEEP_KERNELS = {
-    ("stable:0.75", "interval:0,1", "sub"): "_draw_kernel",
+    ("stable:0.75", "interval:0,1", "sub"): "_deficit_is_draws",
     ("stable:0.5", "interval:0,1", "inv"): "_draw_kernel",
-    ("stable:0.75", "disk:1", "sub"): "_draw_kernel",
+    ("stable:0.75", "disk:1", "sub"): "_deficit_is_draws",
     ("stable:0.5", "disk:1", "inv"): "_draw_kernel",
 }
 

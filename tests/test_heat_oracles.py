@@ -212,11 +212,12 @@ def _unpruned_H(L, u):
 
 @pytest.mark.parametrize("L", [1e-3, 1.0, 37.0])
 def test_pruned_interval_oracles_are_bitwise_the_full_sums(L):
-    # past a = L/sqrt(2u) = 40 the image terms and past (pi/L)^2 u = 760 the
-    # eigenmodes are 0.0 in doubles, so leaving them out changes no bit
+    # past a = L/sqrt(2u) = 9 the image and Gaussian-tail terms round away,
+    # and past (pi/L)^2 u = 700 the eigenmodes are far below the rounding of
+    # L less their sum, so leaving them out changes no bit
     dom = Interval(0.0, L)
-    near_cut = L * L / (2.0 * np.linspace(38.0, 41.0, 30_001) ** 2)
-    special = [0.0, 1e-300, L * L / 10.0, 760.0 * (L / np.pi) ** 2, 2.0**1023, np.inf, np.nan]
+    near_cut = L * L / (2.0 * np.concatenate([np.linspace(8.0, 10.0, 30_001), np.linspace(38.0, 41.0, 3_001)]) ** 2)
+    special = [0.0, 1e-300, L * L / 10.0, 700.0 * (L / np.pi) ** 2, 760.0 * (L / np.pi) ** 2, 2.0**1023, np.inf, np.nan]
     u = np.concatenate([np.geomspace(1e-320, 1e308, 200_001), near_cut, special])
     with np.errstate(over="ignore", invalid="ignore"):
         want_deficit, want_H = _unpruned_deficit(L, u), _unpruned_H(L, u)

@@ -331,3 +331,24 @@ def test_scrambled_nets_are_uniform_and_reproducible():
     assert not np.array_equal(u[:, :8], samplers.sobol_uniforms(RandomStream(6), dims, 1, m))
     with pytest.raises(ValueError, match="nets hold"):
         samplers.sobol_uniforms(RandomStream(5), 2, 1, samplers.SOBOL_LOG2_MAX + 1)
+
+
+def test_kanter_log_ratio_matches_mpmath_at_both_ends():
+    # the log of A(u)^(1-b) from the angle u and its complement v, against
+    # 60 digits, for v from 1e-300 up to 1 - 1e-16, where the former
+    # sin(pi v) form of the ratio cancelled; an absolute error in the log is
+    # the relative error of the ratio
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    v = np.concatenate([np.geomspace(1e-300, 0.5, 120), 1.0 - np.geomspace(0.5, 1.1e-16, 120)[1:]])
+    u = 1.0 - v  # exact where v >= 1/2; below it a rounding of u, which sin(pi u) barely feels
+    for beta in (2.0**-7, 0.25, 0.5, 0.75, 0.99, 0.999):
+        got = samplers.kanter_log_ratio(u.copy(), v.copy(), beta)
+        b = mpmath.mpf(beta)
+        want = []
+        for x in v:
+            w = 1 - mpmath.mpf(x)
+            want.append(float(b * mpmath.log(mpmath.sin(b * mpmath.pi * w))
+                              + (1 - b) * mpmath.log(mpmath.sin((1 - b) * mpmath.pi * w))
+                              - mpmath.log(mpmath.sin(mpmath.pi * mpmath.mpf(x)))))
+        assert np.max(np.abs(got - np.array(want))) <= 1.3e-13, beta
