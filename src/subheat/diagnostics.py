@@ -15,7 +15,6 @@ import numpy as np
 
 from . import samplers
 from .asymptotics import LadderReport, band_verdict, verdict
-from .estimators import _is_stable_draws
 from .levy_exponents import Stable, leading_index, levy_density, phi
 from .samplers import Kind, RandomStream, TimeChangeSpec, run_blocks
 
@@ -88,7 +87,7 @@ def _levy_integral(exp, f) -> float:
 def _levy_kernel(args, stream, lo, size, n):
     exp, f, t, use_is = args
     if use_is:
-        d, w = _is_stable_draws(exp.beta, t, _LEVY_IS_CAP, stream.uniforms(size), stream.uniforms(size))
+        d, w = samplers._is_stable_draws(exp.beta, t, _LEVY_IS_CAP, stream.uniforms(size), stream.uniforms(size))
         return f(d) * w / t
     return f(samplers.sample_subordinator(exp, t, stream, size)) / t
 

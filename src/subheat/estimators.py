@@ -14,10 +14,10 @@ plain draws take over.  Each weighted path is a smooth function of two
 uniforms per stable component, so that route draws them from scrambled
 Sobol nets, which integrate such functions far faster than n^(-1/2)
 (Owen 1997), and takes its stderr from the spread of independently
-scrambled nets.  Its proposal is formed in logs, and its draws from the
-log-uniform exponents by exp, log and tan, which NumPy vectorizes, scored a
-slice of _IS_SLICE paths at a time, so a one-component weighted path costs
-no more than a plain one.
+scrambled nets.  Its proposal, samplers._is_stable_draws, is formed in
+logs, and its draws from the log-uniform exponents by exp, log and tan,
+which NumPy vectorizes, scored a slice of _IS_SLICE paths at a time, so a
+one-component weighted path costs no more than a plain one.
 The plain and duality routes stay on Philox streams.
 
 Inverse clocks without a closed-form E_t are estimated by duality at small
@@ -38,8 +38,9 @@ which cuts the variance over 1,000-fold at t = 1e-3 and more at smaller t.
 
 Importance sampling and duality are the two weighted routes.  Both draw the
 clock without its tempering and weight a tempered clock by one density ratio,
-e^_log_tilt, e^(clock * sum of w theta^b - theta d); their stable values come
-from the one Kanter form, samplers._kanter_stable, or its log form.
+e^_log_tilt, e^(clock * sum of w theta^b - theta d).  All Kanter arithmetic,
+the importance proposal's included, lives in samplers, next to its one
+Kanter ratio; this module only scores draws and routes rows.
 
 Each estimator is a block kernel, a few lines that turn one block's clock
 draws into the heat lost per path, run by the block engine samplers.run_blocks:
@@ -70,7 +71,6 @@ from .samplers import (
 )
 
 
-_LOG_RANGE = math.log(1e300)
 # bounds of the scale rule in _clock_kernel, measured on interval (0, 1) at
 # 65,536 paths: at t sum w u_cap^(-b) = _IS_SCALE plain draws have 1.0x
 # (b = 2^-7) to 24x (b = 1/2) the proposal's variance, and win from 4 to 8
@@ -78,71 +78,6 @@ _LOG_RANGE = math.log(1e300)
 # to 1.5 times the tilt bound
 _IS_SCALE = 0.05
 _IS_TILT = 3.0
-# the proposal's exponential variates span [e_min, _E_MAX], and e_min and
-# v_min sit _LOG_REACH below the saturation values e_sat and v_sat, above
-# floors that keep e and v normal doubles
-_E_MAX = 50.0
-_LOG_REACH = math.log(1e-6)
-_LOG_V_MAX, _LOG_V_FLOOR, _LOG_E_FLOOR = math.log(1e-4), math.log(1e-290), math.log(1e-300)
-# a clock value e^x comes out of its log with relative rounding |x| 2^-53,
-# so past |x| = 2^32 a draw would keep fewer than 6 digits
-_LOG_SCALE_MAX = 2.0**32
-
-
-def _is_saturation(beta, t, u_cap):
-    """(log v_min, log e_min), the lower ends of the importance proposal of a
-    beta-stable clock at time t against the clock value u_cap.
-
-    In Kanter form D_t = t^(1/b) (A/e)^((1-b)/b) passes u_cap = s_cap t^(1/b)
-    only for e below e_sat = A(0+) s_cap^(-b/(1-b)), or, at e = _E_MAX, for
-    v = 1 - u below v_sat = sin(b pi)/pi (s_cap^(b/(1-b)) _E_MAX)^(-(1-b)):
-    rare events, which the proposal targets.  Every quantity is formed in
-    logs, so the proposal holds wherever the clock scale t^(1/b) does,
-    however far from 1, and at any b.  u_cap is the proposal's clock cap, a
-    domain's saturation clock or 60 in check_levy_convergence;
-    _clock_kernel refuses a row out of range before any block runs.
-    """
-    log_scale = math.log(t) / beta
-    if not abs(log_scale) <= _LOG_SCALE_MAX:
-        raise ValueError(
-            f"clock time {t:g} is out of range for importance sampling at index {beta:g}: "
-            f"the clock scale t^(1/b) = e^{log_scale:g} must have a log of magnitude at most "
-            f"2^32, past which a draw keeps fewer than 6 digits"
-        )
-    log_s_cap = math.log(u_cap) - log_scale
-    log_e_sat = beta * math.log(beta) / (1.0 - beta) + math.log1p(-beta) - beta / (1.0 - beta) * log_s_cap
-    log_v_sat = math.log(math.sin(beta * math.pi) / math.pi) - beta * log_s_cap - (1.0 - beta) * math.log(_E_MAX)
-    log_v_min = max(min(log_v_sat + _LOG_REACH, _LOG_V_MAX), _LOG_V_FLOOR)
-    return log_v_min, max(log_e_sat + _LOG_REACH, _LOG_E_FLOOR)
-
-
-def _is_stable_draws(beta, t, u_cap, u_v, u_e):
-    """Importance-sampled stable subordinator draws and their weights, one
-    per pair of uniforms (u_v, u_e) in [0, 1), which are overwritten.
-
-    Proposals are log-uniform in the Kanter angle complement v = 1 - u and in
-    the exponential variate e, tuned so the draws cover the full range of
-    clock values u up to u_cap, the domain's saturation clock, beyond which
-    the heat lost has saturated.  v, u, e, the weight and the draw all come
-    from the two log-uniform exponents, by exp and expm1 alone.
-    """
-    log_v_min, log_e_min = _is_saturation(beta, t, u_cap)
-    span_v, span_e = -log_v_min, math.log(_E_MAX) - log_e_min
-    lv = np.subtract(u_v, 1.0, out=u_v)
-    lv *= span_v  # log v
-    le = np.multiply(u_e, span_e, out=u_e)
-    le += log_e_min  # log e
-    # the weight (span_v v)(span_e e e^-e) of the uniform angle and unit
-    # exponential against the proposal
-    w = lv + le
-    u = np.exp(le)
-    w -= u
-    np.exp(w, out=w)
-    w *= span_v * span_e
-    np.expm1(lv, out=u)
-    np.negative(u, out=u)
-    ratio = samplers.kanter_log_ratio(u, np.exp(lv, out=lv), beta)
-    return samplers.kanter_stable_from_logs(beta, math.log(t), ratio, le), w
 
 
 # scrambled nets an importance-sampled estimate is split into, at least: its
@@ -204,7 +139,7 @@ def _is_scores(exp, dom, t, f, u):
     comps, u_cap = exp.components, dom.saturation_clock
     s_prev = 0.0
     for i, (b, wt) in enumerate(comps):
-        d, w = _is_stable_draws(b, wt * t, u_cap, u[4 * i], u[4 * i + 1])
+        d, w = samplers._is_stable_draws(b, wt * t, u_cap, u[4 * i], u[4 * i + 1])
         if i == 0:  # f(S_0) = f(0) = 0 needs no oracle call
             out = w
             out *= f(dom, d)
@@ -307,9 +242,10 @@ def _clock_kernel(spec, dom, t, quantity):
     _IS_SCALE and its tilt t sum w theta^b at most the smallest index over
     _IS_TILT, bounds that Brownian scaling leaves as they are; past them the
     heat lost is no longer a rare event of the clock and plain draws take
-    over.  _is_saturation refuses, before any block runs, a weighted row
-    whose clock scale (w t)^(1/b) has a log beyond its range, and a plain row
-    is refused where that scale is above the draws' 1e300 cap.
+    over.  samplers._is_saturation refuses, before any block runs, a
+    weighted row whose clock scale (w t)^(1/b) has a log beyond its range,
+    and a plain row is refused where that scale is above the draws' 1e300
+    cap.
     A non-stable inverse clock without a set grid step takes the duality
     kernel in the small-time regime u0 theta^b <= 1, u0 = 1/phi(1/t) being
     the scale of E_t; past it E_t concentrates near t/phi'(0) and the grid
@@ -329,10 +265,10 @@ def _clock_kernel(spec, dom, t, quantity):
     u_cap, comps = dom.saturation_clock, exp.components
     if t * sum(w * u_cap**-b for b, w in comps) <= _IS_SCALE and t * _tilt_rate(exp) <= comps[0][0] / _IS_TILT:
         for b, w in comps:
-            _is_saturation(b, w * t, u_cap)
+            samplers._is_saturation(b, w * t, u_cap)
         return _deficit_is_draws, (exp, dom, t, quantity), 0.0
     for b, w in comps:
-        if math.log(w * t) > b * _LOG_RANGE:
+        if math.log(w * t) > b * samplers._LOG_CAP:
             raise ValueError(
                 f"clock time {w * t:g} at index {b:g} puts the clock scale (w t)^(1/b) = "
                 f"e^{math.log(w * t) / b:g} above the 1e300 cap of plain clock draws"

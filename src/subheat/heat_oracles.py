@@ -187,11 +187,10 @@ def exact_H_interval(dom: Interval, u):
 
     Closed form 2 sigma (a Phibar(a) + phi(0) - phi(a)) with sigma = sqrt(2u)
     and a = L/sigma, from integrating the two one-sided Gaussian tails over
-    the interval.  Where a < 1 (u > L^2/2) phi(0) - phi(a) cancels, and it is
-    taken as -phi(0) expm1(-a^2/2), so that H tends to L to rounding as
-    u >> L^2; where a >= 1 the difference loses nothing, and is kept as one
-    so that H keeps its bytes there.  Past u = 2^1023, where 2u overflows,
-    H is L to rounding.
+    the interval.  phi(0) - phi(a) is taken as -phi(0) expm1(-a^2/2), which
+    does not cancel where a < 1 (u > L^2/2), so that H tends to L to
+    rounding as u >> L^2.  Past u = 2^1023, where 2u overflows, H is L to
+    rounding.
     """
     scalar, u_arr = _as_times(u)
     L = dom.length
@@ -219,24 +218,16 @@ def exact_H_interval(dom: Interval, u):
 
 
 def _h_bracket(a):
-    """a Phibar(a) + phi(0) - phi(a) of exact_H_interval, in the closed
-    form's operation order, with -phi(0) expm1(-a^2/2) for phi(0) - phi(a)
-    where a < 1.  a is overwritten."""
-    near = a < 1.0
+    """a Phibar(a) + phi(0) - phi(a) of exact_H_interval, with
+    -phi(0) expm1(-a^2/2) for phi(0) - phi(a).  a is overwritten."""
     res = np.negative(a)
     ndtr(res, out=res)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res *= a
-        half = np.multiply(-0.5, a)
-        half *= a  # -a^2/2
-    near_form = np.expm1(half, out=a)
-    near_form /= _SQRT_2PI
-    np.subtract(res, near_form, out=near_form)
-    np.exp(half, out=half)
-    half /= _SQRT_2PI
-    res += 1.0 / _SQRT_2PI
-    res -= half
-    np.copyto(res, near_form, where=near)
+    res *= a
+    np.square(a, out=a)
+    a *= -0.5
+    np.expm1(a, out=a)
+    a /= _SQRT_2PI
+    res -= a
     return res
 
 

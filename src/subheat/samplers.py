@@ -2,18 +2,18 @@
 
 All variates derive from counter-based Philox streams keyed by (seed,
 stream_key), so any draw sequence is reproducible bit-for-bit regardless of
-scheduling. Stable variates use Kanter's representation (exact, no rejection):
-every plain stable marginal S_t (_stable_block) is formed by one function,
-_kanter_stable, as one power of one product of the Kanter ratio A^(1-beta),
-and the weighted route's draws, from net columns (stable_from_uniforms) or
-from the importance proposal's log-uniform angles, by its log form,
-kanter_stable_from_logs, from kanter_log_ratio; so no value leaves double
-range unless S_t does; tempered variates, marginals and grid-walk increments alike,
-go through one exponential-tilt rejection loop, _tilted_rows, called by
-_subordinator_block; inverse variates use the exact first-passage identity for
-stable exponents and a grid first-passage walk with conditional bisection
-refinement otherwise; sample_clock picks the subordinator or the inverse
-sampler by the kind of a TimeChangeSpec.
+scheduling. Stable variates use Kanter's representation (exact, no rejection),
+with one Kanter ratio A^(1-beta), formed in logs by _kanter_log_ratio.  Plain
+draws (_kanter_variates) take its exp, and S_t as one power of one product,
+_kanter_stable; the weighted route (stable_from_uniforms, the importance
+proposal _is_stable_draws) keeps it in logs, and S_t by one exp,
+_kanter_stable_from_logs, cheaper but less accurate, so both forms stay.  No
+value leaves double range unless S_t does.  Tempered variates, marginals and
+grid-walk increments alike, go through one exponential-tilt rejection loop,
+_tilted_rows, called by _subordinator_block; inverse variates use the exact
+first-passage identity for stable exponents and a grid first-passage walk
+with conditional bisection refinement otherwise; sample_clock picks the
+subordinator or the inverse sampler by the kind of a TimeChangeSpec.
 sobol_uniforms draws scrambled Sobol nets (Joe-Kuo direction numbers,
 Matousek's linear scramble and a digital shift, all randomness from the
 stream), which the importance-sampled estimator feeds its clock draws with.
@@ -40,11 +40,12 @@ from .levy_exponents import LaplaceExponent, Stable, TemperedStable, phi_prime
 
 _OPEN_EPS = 2.0**-54  # keeps uniforms strictly inside (0,1)
 _LOG_CAP = math.log(1e300)  # clock draws are capped at 1e300
+_STEP_GUARD = 10**9  # most grid steps, or tilt chunks, a draw may take
 BLOCK = 32768
 
 
 class RunawaySamplerError(RuntimeError):
-    """Grid first-passage walk exceeded its step budget without crossing."""
+    """A grid walk or a tempered draw would take over _STEP_GUARD steps."""
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -306,34 +307,17 @@ class TimeChangeSpec:
             raise ValueError(f"grid_step must be positive and finite, got {self.grid_step}")
 
 
-def _kanter_ratio(u, beta: float):
-    """A(u)^(1-beta) = sin(beta pi u)^beta sin((1-beta) pi u)^(1-beta) / sin(pi u)."""
-    # in place on two work arrays: each fresh block-sized temporary costs the
-    # allocator a map and page faults, and the draws dominate the plain paths
-    b = beta
-    u = np.asarray(u, dtype=float)
-    num = np.multiply(b * np.pi, u, out=np.empty(u.shape))
-    np.sin(num, out=num)
-    num **= b
-    tmp = np.multiply((1.0 - b) * np.pi, u, out=np.empty(u.shape))
-    np.sin(tmp, out=tmp)
-    tmp **= 1.0 - b
-    num *= tmp
-    np.sin(np.multiply(np.pi, u, out=tmp), out=tmp)
-    num /= tmp
-    return num
-
-
 def kanter_angle(u, beta: float):
     """Kanter's angle function A(u) on (0,1).
 
     A(u) = [sin(beta pi u)^beta sin((1-beta) pi u)^(1-beta) / sin(pi u)]
     raised to 1/(1-beta); S_1 = (A(U)/E)^((1-beta)/beta) for U uniform and E
-    unit exponential (Kanter 1975).
+    unit exponential (Kanter 1975).  Taken from the log of the Kanter ratio,
+    so it holds to rounding at both ends of (0, 1).
     """
-    num = _kanter_ratio(u, beta)
-    num **= 1.0 / (1.0 - beta)
-    return num[()]
+    x = np.array(u, dtype=float, ndmin=1)
+    log_a = _kanter_log_ratio(x, 1.0 - x, beta) / (1.0 - beta)
+    return np.exp(log_a, out=log_a).reshape(np.shape(u))[()]
 
 
 def kanter_angle_min(beta: float) -> float:
@@ -355,7 +339,7 @@ def _log_sin_pi(x, den):
     return np.log(x, out=x)
 
 
-def kanter_log_ratio(u, v, beta: float):
+def _kanter_log_ratio(u, v, beta: float):
     """log A(u)^(1-beta) = beta log sin(beta pi u) + (1-beta) log sin((1-beta) pi u)
     - log sin(pi u), from the angle u in (0, 1) and its complement v = 1 - u,
     each as accurate as the other; valid down to u or v ~ 1e-300.  u and v
@@ -391,7 +375,8 @@ def _kanter_variates(beta: float, stream: RandomStream, shape):
     np.maximum(u, _OPEN_EPS, out=u)
     e = stream.exponentials(shape)
     np.maximum(e, 1e-300, out=e)
-    return _kanter_ratio(u, beta), e
+    ratio = _kanter_log_ratio(u, 1.0 - u, beta)
+    return np.exp(ratio, out=ratio), e
 
 
 def _stable_block(beta: float, t: float, stream: RandomStream, shape):
@@ -403,10 +388,10 @@ def stable_from_uniforms(beta: float, t: float, u, w):
     """S_t from uniforms u and w strictly inside (0, 1), one per value: the
     Kanter ratio at u and the exponential variate E = -log w, in logs; u is
     overwritten."""
-    return kanter_stable_from_logs(beta, math.log(t), kanter_log_ratio(u, 1.0 - u, beta), np.log(-np.log(w)))
+    return _kanter_stable_from_logs(beta, math.log(t), _kanter_log_ratio(u, 1.0 - u, beta), np.log(-np.log(w)))
 
 
-def kanter_stable_from_logs(beta: float, log_t: float, log_ratio, log_e):
+def _kanter_stable_from_logs(beta: float, log_t: float, log_ratio, log_e):
     """S_t = e^((log t + log_ratio - (1-beta) log_e)/beta), capped at 1e300,
     from the log of the Kanter ratio A^(1-beta) and of the exponential
     variate; both are overwritten.
@@ -440,6 +425,73 @@ def _kanter_stable(beta: float, t, ratio, e):
     return np.minimum(ratio, 1e300, out=ratio)
 
 
+# the proposal's exponential variates span [e_min, _E_MAX], and e_min and
+# v_min sit _LOG_REACH below the saturation values e_sat and v_sat, above
+# floors that keep e and v normal doubles
+_E_MAX = 50.0
+_LOG_REACH = math.log(1e-6)
+_LOG_V_MAX, _LOG_V_FLOOR, _LOG_E_FLOOR = math.log(1e-4), math.log(1e-290), math.log(1e-300)
+# a clock value e^x comes out of its log with relative rounding |x| 2^-53,
+# so past |x| = 2^32 a draw would keep fewer than 6 digits
+_LOG_SCALE_MAX = 2.0**32
+
+
+def _is_saturation(beta, t, u_cap):
+    """(log v_min, log e_min), the lower ends of the importance proposal of a
+    beta-stable clock at time t against the clock value u_cap.
+
+    In Kanter form D_t = t^(1/b) (A/e)^((1-b)/b) passes u_cap = s_cap t^(1/b)
+    only for e below e_sat = A(0+) s_cap^(-b/(1-b)), or, at e = _E_MAX, for
+    v = 1 - u below v_sat = sin(b pi)/pi (s_cap^(b/(1-b)) _E_MAX)^(-(1-b)):
+    rare events, which the proposal targets.  Every quantity is formed in
+    logs, so the proposal holds wherever the clock scale t^(1/b) does,
+    however far from 1, and at any b.  u_cap is the proposal's clock cap, a
+    domain's saturation clock or 60 in check_levy_convergence;
+    estimators._clock_kernel refuses a row out of range before any block runs.
+    """
+    log_scale = math.log(t) / beta
+    if not abs(log_scale) <= _LOG_SCALE_MAX:
+        raise ValueError(
+            f"clock time {t:g} is out of range for importance sampling at index {beta:g}: "
+            f"the clock scale t^(1/b) = e^{log_scale:g} must have a log of magnitude at most "
+            f"2^32, past which a draw keeps fewer than 6 digits"
+        )
+    log_s_cap = math.log(u_cap) - log_scale
+    log_e_sat = beta * math.log(beta) / (1.0 - beta) + math.log1p(-beta) - beta / (1.0 - beta) * log_s_cap
+    log_v_sat = math.log(math.sin(beta * math.pi) / math.pi) - beta * log_s_cap - (1.0 - beta) * math.log(_E_MAX)
+    log_v_min = max(min(log_v_sat + _LOG_REACH, _LOG_V_MAX), _LOG_V_FLOOR)
+    return log_v_min, max(log_e_sat + _LOG_REACH, _LOG_E_FLOOR)
+
+
+def _is_stable_draws(beta, t, u_cap, u_v, u_e):
+    """Importance-sampled stable subordinator draws and their weights, one
+    per pair of uniforms (u_v, u_e) in [0, 1), which are overwritten.
+
+    Proposals are log-uniform in the Kanter angle complement v = 1 - u and in
+    the exponential variate e, tuned so the draws cover the full range of
+    clock values u up to u_cap, the domain's saturation clock, beyond which
+    the heat lost has saturated.  v, u, e, the weight and the draw all come
+    from the two log-uniform exponents, by exp and expm1 alone.
+    """
+    log_v_min, log_e_min = _is_saturation(beta, t, u_cap)
+    span_v, span_e = -log_v_min, math.log(_E_MAX) - log_e_min
+    lv = np.subtract(u_v, 1.0, out=u_v)
+    lv *= span_v  # log v
+    le = np.multiply(u_e, span_e, out=u_e)
+    le += log_e_min  # log e
+    # the weight (span_v v)(span_e e e^-e) of the uniform angle and unit
+    # exponential against the proposal
+    w = lv + le
+    u = np.exp(le)
+    w -= u
+    np.exp(w, out=w)
+    w *= span_v * span_e
+    np.expm1(lv, out=u)
+    np.negative(u, out=u)
+    ratio = _kanter_log_ratio(u, np.exp(lv, out=lv), beta)
+    return _kanter_stable_from_logs(beta, math.log(t), ratio, le), w
+
+
 _ROW_TILT = 0.5  # largest k h theta^b at which rows of k increments are accepted whole
 
 
@@ -468,14 +520,18 @@ def _subordinator_block(exp: LaplaceExponent, h: float, stream: RandomStream, sh
     (paths, k) are accepted whole while k h theta^b <= _ROW_TILT, so a grid
     walk rejects a row with probability 1 - e^(-k h theta^b) <= 1 - e^(-1/2);
     otherwise each value is a row of its own, drawn over ceil(h theta^b)
-    chunks of the step, so that every chunk keeps acceptance >= 1/e.
+    chunks of the step, so that every chunk keeps acceptance >= 1/e.  More
+    than _STEP_GUARD chunks raise RunawaySamplerError.
     """
     if exp.theta == 0.0:
         return _stable_sum_block(exp.components, h, stream, shape)
     beta, theta = exp.beta, exp.theta
     if isinstance(shape, tuple) and len(shape) == 2 and h * shape[1] * theta**beta <= _ROW_TILT:
         return _tilted_rows(beta, theta, h, stream, shape)
-    n_chunks = max(1, math.ceil(h * theta**beta))
+    chunks = h * theta**beta
+    if chunks > _STEP_GUARD:
+        raise RunawaySamplerError(f"a tempered draw over {h:g} takes {chunks:.1e} tilt chunks, over {_STEP_GUARD:.0e}")
+    n_chunks = max(1, math.ceil(chunks))
     total = np.zeros(shape)
     for _ in range(n_chunks):
         total += _tilted_rows(beta, theta, h / n_chunks, stream, (total.size, 1)).reshape(total.shape)
@@ -501,7 +557,7 @@ def sample_untempered_below(exp: LaplaceExponent, u, t: float, stream: RandomStr
     _stable_sum_block.  The last is below r = t - d exactly when E exceeds
     e* = (w u rho / r^b)^(1/(1-b)), so p = e^-e* (0 where d >= t) and, E
     being memoryless, E = e* + Exp(1) draws it given D < t.  Each is one
-    power of a product, as in _kanter_stable, so nothing leaves double range
+    power of a product, _kanter_stable, so nothing leaves double range
     near b = 0 or b = 1.  Weighted by p and the exponential tilt
     e^(u theta^b - theta D), the draws score P(D_u < t) under the tempered law.
     """
@@ -509,16 +565,15 @@ def sample_untempered_below(exp: LaplaceExponent, u, t: float, stream: RandomStr
     *rest, (b, w) = exp.components
     with np.errstate(over="ignore", divide="ignore", under="ignore"):
         d = _stable_sum_block(rest, u, stream, u.shape) if rest else 0.0
-        wu_rho = _kanter_ratio(np.maximum(stream.uniforms(u.shape), _OPEN_EPS), b)
+        wu_rho, e = _kanter_variates(b, stream, u.shape)
         wu_rho *= u
         wu_rho *= w
         e_star = (wu_rho / np.maximum(t - d, 0.0) ** b) ** (1.0 / (1.0 - b))
         p = np.exp(-e_star)
-        e_star += stream.exponentials(u.shape)
-        wu_rho /= e_star ** (1.0 - b)
-        wu_rho **= 1.0 / b
-        wu_rho += d
-    return wu_rho, p
+        e_star += e
+        last = _kanter_stable(b, 1.0, wu_rho, e_star)
+        last += d
+    return last, p
 
 
 def sample_subordinator(exp: LaplaceExponent, t: float, stream: RandomStream, size=None):
@@ -540,7 +595,6 @@ def sample_tempered(beta: float, theta: float, t: float, stream: RandomStream, s
     return sample_subordinator(TemperedStable(beta, theta), t, stream, size)
 
 
-_STEP_GUARD = 10**9
 _REFINE_BISECTIONS = 20  # halvings of the crossing step in a grid inverse draw
 _REFINE_TRIES = 64
 

@@ -829,6 +829,21 @@ def test_estimate_answers_in_bounded_time(argv):
     assert done.returncode == 0
 
 
+def test_tempered_draw_with_absurd_chunk_count_exits_4_quickly():
+    # t theta^b = 1e147 chunks of tilt rejection would never finish; past
+    # the step guard the draw is refused instead, as the grid walk is
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = ["--exponent", "tempered:0.5,1e300", "--t", "1e-3", "--paths", "64"]
+    cmd = [sys.executable, "-m", "subheat.cli", "estimate", *argv]
+    try:
+        done = subprocess.run(cmd, env=env, capture_output=True, timeout=5.0)
+    except subprocess.TimeoutExpired:
+        pytest.fail("tempered:0.5,1e300 ran past 5 s")
+    assert done.returncode == 4, done.stderr.decode()
+    assert b"runaway sampler" in done.stderr
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two CPUs")
 def test_estimate_with_workers_exits_and_leaves_no_process():
     # the command and its pool's workers run in a session of their own; the

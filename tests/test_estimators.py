@@ -136,7 +136,7 @@ def test_worker_bit_identity(exp, dom, kind, quantity):
         ("tempered:0.5,1", "interval:0,1", "inv", "regular", 1e-3, "_duality_kernel",
          "5edb2e0a5e7260623018ce67ac3e43bc3dfb6ccad7fe531f5694a088845dbf05"),
         ("mixed:0.25*1+0.5*1", "interval:0,1", "inv", "regular", 1e-3, "_duality_kernel",
-         "d360f5a6e8053987841d1d468e934481427b8785d96ff29b3b6e46d2759468f7"),
+         "96f1045aaa1bd3e4e387e6d5aad650c3c8c869414ae6bfcd5a142d57bfbc65d2"),
         ("tempered:0.25,3", "disk:2", "inv", "spectral", 1e-3, "_duality_kernel",
          "f617ad10aee1fecc42c98cb8af2bcd7792eb507f281b8c99dc97e3de9a81f4ea"),
         ("tempered:0.75,1", "interval:0,1", "sub", "spectral", 1e-3, "_deficit_is_draws",

@@ -196,17 +196,15 @@ def _unpruned_deficit(L, u):
 
 
 def _unpruned_H(L, u):
-    # the closed form 2 sigma (a Phibar(a) + phi(0) - phi(a)) at every a
+    # the closed form 2 sigma (a Phibar(a) + phi(0) - phi(a)) at every a,
+    # with -phi(0) expm1(-a^2/2) for phi(0) - phi(a)
     sqrt_2pi = np.sqrt(2.0 * np.pi)
     flat = u >= 2.0**1023
     out = np.where(flat, L, 0.0)
     pos = (u > 0.0) & ~flat
     sig = np.sqrt(2.0 * u[pos])
     a = L / sig
-    val = a * ndtr(-a) + 1.0 / sqrt_2pi - np.exp(-0.5 * a * a) / sqrt_2pi
-    near = a < 1.0
-    val[near] = a[near] * ndtr(-a[near]) - np.expm1(-0.5 * a[near] ** 2) / sqrt_2pi
-    out[pos] = val * (2.0 * sig)
+    out[pos] = (a * ndtr(-a) - np.expm1(-0.5 * a * a) / sqrt_2pi) * (2.0 * sig)
     return out
 
 
